@@ -63,8 +63,8 @@ fn apply_cache_flag(choice: Option<bool>) {
     }
 }
 
-/// Prints the hit/miss summary accumulated since `before`, when the
-/// cache is active.
+/// Prints the process-wide hit/miss tally accumulated since `before`,
+/// when the cache is active.
 fn print_cache_summary(before: noc_core::CacheCounters) {
     if noc_core::ExperimentCache::from_env().is_enabled() {
         let delta = noc_core::cache::counters().since(&before);

@@ -28,10 +28,11 @@
 //!    removing oldest-modified records first.
 //! 3. **Toggles and accounting** — [`ExperimentCache::from_env`] reads
 //!    `NOC_CACHE` (unset/`0`/`off` disables; `1`/`on` selects the
-//!    default directory; anything else is a directory path), and global
-//!    [`counters`] track hits/misses/stores for reports and CI
-//!    assertions. `NOC_CACHE_MAX_BYTES` bounds the store after each
-//!    scheduler pass.
+//!    default directory; anything else is a directory path). Each
+//!    scheduler call returns its own hit/miss/store [`CacheCounters`];
+//!    the process-wide [`counters`] only feed whole-process summaries
+//!    such as `noc-cli`'s. `NOC_CACHE_MAX_BYTES` bounds the store after
+//!    each scheduler pass.
 //!
 //! The incremental scheduler lives in
 //! [`crate::parallel::run_experiment_jobs_with_cache`]: it partitions a
@@ -183,13 +184,14 @@ pub fn fingerprint(experiment: &Experiment, seed: u64) -> Fingerprint {
     Fingerprint(fnv1a_128(canonical_key(experiment, seed).as_bytes()))
 }
 
-// --- global hit/miss accounting -----------------------------------------
+// --- hit/miss accounting -------------------------------------------------
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static STORES: AtomicU64 = AtomicU64::new(0);
 
-/// Snapshot of the process-wide cache counters.
+/// Cache hits, misses and stores: of one scheduler call, or of the
+/// whole process ([`counters`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize)]
 pub struct CacheCounters {
     /// Points answered from the store.
@@ -211,21 +213,17 @@ impl CacheCounters {
     }
 }
 
-/// Current process-wide counters (all cache-aware schedulers in this
-/// process accumulate here).
+/// Current process-wide counters: every cache-aware scheduler call in
+/// this process adds its counts here, whatever thread it ran on. They
+/// suit a summary of a whole process, such as `noc-cli`'s; to count
+/// one call, use the counters
+/// [`crate::parallel::run_experiment_jobs_with_cache`] returns.
 pub fn counters() -> CacheCounters {
     CacheCounters {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         stores: STORES.load(Ordering::Relaxed),
     }
-}
-
-/// Resets the process-wide counters to zero.
-pub fn reset_counters() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    STORES.store(0, Ordering::Relaxed);
 }
 
 pub(crate) fn record_counters(delta: CacheCounters) {
@@ -787,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn process_counters_accumulate() {
         let dir = unique_temp_dir("noc-cache-counters");
         let cache = ExperimentCache::at(&dir);
         let exp = experiment();
@@ -795,14 +793,12 @@ mod tests {
         let miss = run_cached(&cache, &exp, 7).unwrap();
         let hit = run_cached(&cache, &exp, 7).unwrap();
         assert_eq!(miss, hit);
+        // Other tests in this process add to the same tally, so only a
+        // lower bound holds here.
         let delta = counters().since(&before);
-        assert_eq!(
-            delta,
-            CacheCounters {
-                hits: 1,
-                misses: 1,
-                stores: 1
-            }
+        assert!(
+            delta.hits >= 1 && delta.misses >= 1 && delta.stores >= 1,
+            "{delta:?}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

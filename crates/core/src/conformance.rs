@@ -275,12 +275,10 @@ pub fn run_conformance(
                 })
                 .collect()
         };
-        let cached_cold =
+        let (cached_cold, _) =
             crate::run_experiment_jobs_with_cache(jobs(&case.experiment), parallelism, &cache)?;
-        let before_warm = crate::cache::counters();
-        let cached_warm =
+        let (cached_warm, warm_delta) =
             crate::run_experiment_jobs_with_cache(jobs(&case.experiment), parallelism, &cache)?;
-        let warm_delta = crate::cache::counters().since(&before_warm);
         std::fs::remove_dir_all(&cache_dir).ok();
 
         let audited_matches_unaudited = plain.iter().zip(&audited_seq).all(|(p, (a, _))| p == a);

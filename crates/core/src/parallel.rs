@@ -162,6 +162,7 @@ pub fn run_experiment_jobs(
         parallelism,
         &crate::cache::ExperimentCache::from_env(),
     )
+    .map(|(results, _)| results)
 }
 
 /// The incremental scheduler behind [`run_experiment_jobs`]: partitions
@@ -173,8 +174,9 @@ pub fn run_experiment_jobs(
 /// [`RunResult`] a fresh simulation would return (the conformance
 /// harness asserts this), and result order never depends on which
 /// points hit. Cache I/O failures degrade to recomputation, never to a
-/// run failure. Hit/miss/store counts accumulate in the process-wide
-/// [`crate::cache::counters`].
+/// run failure. Returns this call's own hit/miss/store counts with the
+/// results (zero when the cache is disabled); they are also added to
+/// the process-wide [`crate::cache::counters`].
 ///
 /// # Errors
 ///
@@ -185,11 +187,14 @@ pub fn run_experiment_jobs_with_cache(
     jobs: Vec<ExperimentJob>,
     parallelism: Parallelism,
     cache: &crate::cache::ExperimentCache,
-) -> Result<Vec<RunResult>, CoreError> {
+) -> Result<(Vec<RunResult>, crate::cache::CacheCounters), CoreError> {
     use crate::cache::CacheCounters;
     if !cache.is_enabled() {
         let closures: Vec<_> = jobs.into_iter().map(|job| move || job.run()).collect();
-        return run_indexed(closures, parallelism).into_iter().collect();
+        let results = run_indexed(closures, parallelism)
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        return Ok((results, CacheCounters::default()));
     }
 
     // Partition: fill hit slots immediately, keep misses (with their
@@ -241,11 +246,12 @@ pub fn run_experiment_jobs_with_cache(
             }
         }
     }
-    crate::cache::record_counters(CacheCounters {
+    let counters = CacheCounters {
         hits,
         misses: miss_count,
         stores,
-    });
+    };
+    crate::cache::record_counters(counters);
     cache.enforce_env_limit();
     if let Some(error) = first_error {
         return Err(error);
@@ -253,10 +259,11 @@ pub fn run_experiment_jobs_with_cache(
     for (index, result) in splice {
         slots[index] = Some(result);
     }
-    Ok(slots
+    let results = slots
         .into_iter()
         .map(|slot| slot.expect("every job hit or was simulated"))
-        .collect())
+        .collect();
+    Ok((results, counters))
 }
 
 #[cfg(test)]

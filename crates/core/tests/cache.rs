@@ -17,8 +17,8 @@
 //!   bit-identically, sequential or parallel.
 
 use noc_core::cache::{
-    self, canonical_key, code_version_token, fingerprint, fingerprint_with, run_cached,
-    unique_temp_dir, ExperimentCache, CACHE_SCHEMA,
+    canonical_key, code_version_token, fingerprint, fingerprint_with, run_cached, unique_temp_dir,
+    CacheCounters, ExperimentCache, CACHE_SCHEMA,
 };
 use noc_core::{Experiment, ExperimentJob, Parallelism, TopologySpec, TrafficSpec};
 use noc_sim::SimConfig;
@@ -293,17 +293,22 @@ fn cold_then_warm_pass_is_incremental_and_bit_identical() {
             .collect()
     };
     // Reference: no cache involved at all.
-    let reference = noc_core::run_experiment_jobs_with_cache(
+    let (reference, uncached) = noc_core::run_experiment_jobs_with_cache(
         jobs(),
         Parallelism::Sequential,
         &ExperimentCache::disabled(),
     )
     .unwrap();
+    assert_eq!(
+        uncached,
+        CacheCounters::default(),
+        "a disabled cache counts nothing"
+    );
 
-    let before = cache::counters();
-    let cold =
+    // Each call reports its own counters, so other tests running in
+    // this process cannot disturb the counts asserted here.
+    let (cold, cold_delta) =
         noc_core::run_experiment_jobs_with_cache(jobs(), Parallelism::Fixed(4), &cache).unwrap();
-    let cold_delta = cache::counters().since(&before);
     assert_eq!(cold, reference, "cold pass must equal uncached results");
     assert_eq!(
         (cold_delta.hits, cold_delta.misses, cold_delta.stores),
@@ -312,9 +317,8 @@ fn cold_then_warm_pass_is_incremental_and_bit_identical() {
 
     // Warm: every point answered from disk, same bytes, no simulation.
     for parallelism in [Parallelism::Sequential, Parallelism::Fixed(4)] {
-        let before = cache::counters();
-        let warm = noc_core::run_experiment_jobs_with_cache(jobs(), parallelism, &cache).unwrap();
-        let delta = cache::counters().since(&before);
+        let (warm, delta) =
+            noc_core::run_experiment_jobs_with_cache(jobs(), parallelism, &cache).unwrap();
         assert_eq!(warm, reference, "warm pass must equal uncached results");
         assert_eq!((delta.hits, delta.misses), (6, 0));
     }
@@ -333,11 +337,9 @@ fn cold_then_warm_pass_is_incremental_and_bit_identical() {
         experiment: small_experiment(0.3),
         seed: 100,
     });
-    let before = cache::counters();
-    let mixed =
+    let (mixed, delta) =
         noc_core::run_experiment_jobs_with_cache(extended.clone(), Parallelism::Fixed(2), &cache)
             .unwrap();
-    let delta = cache::counters().since(&before);
     assert_eq!((delta.hits, delta.misses), (6, 2));
     for (job, result) in extended.iter().zip(&mixed) {
         assert_eq!(result, &job.run().unwrap(), "splice order must match jobs");

@@ -158,42 +158,47 @@ impl serde::Serialize for LatencyStats {
 
 #[cfg(feature = "serde")]
 impl serde::Deserialize for LatencyStats {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::__private::{as_object, opt_field, req_field};
-        use serde::{DeError, Value};
-        let obj = as_object(value, "LatencyStats")?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
+        use serde::__private::{field, required};
+        const TY: &str = "LatencyStats";
+        let (mut count, mut sum, mut min, mut max) = (None, None, None, None);
         let mut out = LatencyStats::new();
-        out.count = req_field(obj, "LatencyStats", "count")?;
-        out.sum = req_field(obj, "LatencyStats", "sum")?;
-        out.min = req_field(obj, "LatencyStats", "min")?;
-        out.max = req_field(obj, "LatencyStats", "max")?;
-        let bins = opt_field(obj, "bins")
-            .ok_or_else(|| DeError::custom("LatencyStats: missing field `bins`"))?;
-        let Value::Array(pairs) = bins else {
-            return Err(DeError::custom(format!(
-                "LatencyStats: `bins` must be an array, got {bins}"
-            )));
-        };
-        for pair in pairs {
-            let Value::Array(pair) = pair else {
-                return Err(DeError::custom(
-                    "LatencyStats: each bin must be an [index, count] pair",
-                ));
-            };
-            let [index, count] = pair.as_slice() else {
-                return Err(DeError::custom(
-                    "LatencyStats: each bin must be an [index, count] pair",
-                ));
-            };
-            let index = u64::from_value(index)? as usize;
-            let slot = out.bins.get_mut(index).ok_or_else(|| {
-                DeError::custom(format!(
-                    "LatencyStats: bin index {index} out of range (< {})",
-                    Self::HISTOGRAM_BINS
-                ))
-            })?;
-            *slot = u64::from_value(count)?;
+        let mut bins = false;
+        r.begin_object(TY)?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "count" => field(r, &mut count, TY, "count")?,
+                "sum" => field(r, &mut sum, TY, "sum")?,
+                "min" => field(r, &mut min, TY, "min")?,
+                "max" => field(r, &mut max, TY, "max")?,
+                "bins" if bins => return Err(r.error("duplicate field `bins` in LatencyStats")),
+                "bins" => {
+                    bins = true;
+                    r.begin_array()?;
+                    while r.next_element()? {
+                        let [index, n] = <[u64; 2]>::deserialize(r)?;
+                        let slot = usize::try_from(index)
+                            .ok()
+                            .and_then(|i| out.bins.get_mut(i))
+                            .ok_or_else(|| {
+                                r.error(format_args!(
+                                    "LatencyStats: bin index {index} out of range (< {})",
+                                    Self::HISTOGRAM_BINS
+                                ))
+                            })?;
+                        *slot = n;
+                    }
+                }
+                _ => r.skip_value()?,
+            }
         }
+        if !bins {
+            return Err(r.error("missing field `bins` in LatencyStats"));
+        }
+        out.count = required(r, count, TY, "count")?;
+        out.sum = required(r, sum, TY, "sum")?;
+        out.min = required(r, min, TY, "min")?;
+        out.max = required(r, max, TY, "max")?;
         Ok(out)
     }
 }
