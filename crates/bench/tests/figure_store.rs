@@ -6,14 +6,9 @@
 //! binary holds this one test and sets the variable before any figure
 //! call.
 
-use noc_core::cache::{canonical_key, unique_temp_dir};
+use noc_core::cache::{canonical_key, unique_temp_dir, ExperimentCache};
 use noc_core::noc_sim::SimConfig;
 use noc_core::{Experiment, RunResult, TopologySpec, TrafficSpec};
-use std::path::{Path, PathBuf};
-
-/// Bytes of the record envelope before the key: magic, schema, key
-/// length, payload length, checksum (see `noc_core::cache`).
-const RECORD_HEADER_LEN: usize = 24;
 
 /// The parts of a record key that name the run.
 #[derive(serde::Deserialize)]
@@ -23,23 +18,6 @@ struct Key {
     config: SimConfig,
 }
 
-fn records(dir: &Path) -> Vec<PathBuf> {
-    let mut found = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(current) = stack.pop() {
-        for entry in std::fs::read_dir(&current).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "noc") {
-                found.push(path);
-            }
-        }
-    }
-    found.sort();
-    found
-}
-
 #[test]
 fn quick_figure_store_records_round_trip_byte_for_byte() {
     let dir = unique_temp_dir("noc-figure-store");
@@ -47,21 +25,14 @@ fn quick_figure_store_records_round_trip_byte_for_byte() {
     std::env::remove_var("NOC_CACHE_MAX_BYTES");
     noc_bench::all_figure_set(&noc_core::FigureOptions::quick()).unwrap();
 
-    let paths = records(&dir);
-    assert!(paths.len() > 100, "only {} records", paths.len());
-    for path in &paths {
-        let bytes = std::fs::read(path).unwrap();
-        let key_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let key =
-            std::str::from_utf8(&bytes[RECORD_HEADER_LEN..RECORD_HEADER_LEN + key_len]).unwrap();
-        let payload = std::str::from_utf8(&bytes[RECORD_HEADER_LEN + key_len..]).unwrap();
-
+    let records = ExperimentCache::at(&dir).records().unwrap();
+    assert!(records.len() > 100, "only {} records", records.len());
+    for (key, payload) in &records {
         let decoded: RunResult = serde_json::from_str(payload).unwrap();
         assert_eq!(
             serde_json::to_string(&decoded).unwrap(),
-            payload,
-            "{}: re-encoding changed the bytes",
-            path.display()
+            *payload,
+            "{key}: re-encoding changed the bytes"
         );
 
         let Key {
@@ -75,12 +46,11 @@ fn quick_figure_store_records_round_trip_byte_for_byte() {
             traffic,
             config,
         };
-        assert_eq!(canonical_key(&experiment, seed), key, "key re-encodes");
+        assert_eq!(canonical_key(&experiment, seed), *key, "key re-encodes");
         assert_eq!(
             decoded,
             experiment.run_with_seed(seed).unwrap(),
-            "{}: cached result differs from a fresh run",
-            path.display()
+            "{key}: cached result differs from a fresh run"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
