@@ -4,8 +4,8 @@
 //! kernel in flits delivered per iteration (hot-path regression).
 //!
 //! `cargo bench --bench parallel` prints wall-clock per iteration;
-//! `cargo run --release --bin bench_sweep` records the same workload
-//! into `BENCH_sweep.json`.
+//! `cargo run --release --bin bench -- record` records the same
+//! workload into `BENCH_sweep.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use noc_core::{sweep_rates_with, Parallelism, SweepResult, TopologySpec, TrafficSpec};

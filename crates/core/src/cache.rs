@@ -369,9 +369,9 @@ pub struct VerifyOutcome {
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A process-unique temporary directory path under the system temp dir
-/// (not created). Used by tests, the conformance harness and the guard
-/// binaries to get isolated cache stores that cannot collide across
-/// concurrent test processes.
+/// (not created). Used by tests, the conformance harness and the
+/// `bench` driver to get isolated cache stores that cannot collide
+/// across concurrent test processes.
 pub fn unique_temp_dir(prefix: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "{prefix}-{}-{}",

@@ -2,8 +2,8 @@
 //!
 //! Every reproduced figure is a set of labelled series over a common
 //! x-axis; the renderers print exactly the rows a plot would be drawn
-//! from, so `cargo run --bin fig10` output can be compared with the
-//! paper directly.
+//! from, so `cargo run --bin all_figures -- --only fig10_11` output
+//! can be compared with the paper directly.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;

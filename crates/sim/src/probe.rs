@@ -5,8 +5,8 @@
 //! trait. [`Simulation`](crate::Simulation) is generic over its probe
 //! (`Simulation<P: Probe = NullProbe>`), so the default build
 //! monomorphizes every hook into an empty inlined call — the unprobed
-//! simulator pays nothing (guarded by the `probe_guard` overhead
-//! benchmark in the bench crate). Attaching a [`Recorder`] via
+//! simulator pays nothing (guarded by the probe-overhead gate of
+//! `bench check` in the bench crate). Attaching a [`Recorder`] via
 //! [`Simulation::with_probe`](crate::Simulation::with_probe) captures:
 //!
 //! * **flit-lifecycle events** — generate, inject, per-hop buffer
