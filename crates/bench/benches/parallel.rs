@@ -8,8 +8,8 @@
 //! workload into `BENCH_sweep.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use noc_core::{sweep_rates_with, Parallelism, SweepResult, TopologySpec, TrafficSpec};
-use noc_sim::SimConfig;
+use noc_core::{sweep_rates, Parallelism, SweepResult, TopologySpec, TrafficSpec};
+use noc_sim::{Recorder, SimConfig};
 
 /// The benchmarked workload: a rate sweep sized so that one job is a
 /// few milliseconds — large enough to dwarf thread-pool overhead,
@@ -22,7 +22,7 @@ fn bench_sweep(parallelism: Parallelism) -> SweepResult {
         .build()
         .unwrap();
     let rates = [0.1, 0.2, 0.3, 0.4];
-    sweep_rates_with(
+    sweep_rates(
         TopologySpec::Spidergon { nodes: 16 },
         TrafficSpec::Uniform,
         &config,
@@ -86,22 +86,12 @@ fn bench_probe_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("probe");
     g.sample_size(10);
     g.bench_function("null_probe", |b| {
-        b.iter(|| {
-            black_box(
-                experiment
-                    .run_with_seed(experiment.config.seed)
-                    .unwrap()
-                    .stats
-                    .flits_delivered,
-            )
-        })
+        b.iter(|| black_box(experiment.run().unwrap().stats.flits_delivered))
     });
     g.bench_function("recorder", |b| {
         b.iter(|| {
-            let (run, rec) = experiment
-                .run_traced_with_seed(experiment.config.seed)
-                .unwrap();
-            black_box((run.stats.flits_delivered, rec.digest()))
+            let (run, sim) = experiment.run_with(Recorder::new()).unwrap();
+            black_box((run.stats.flits_delivered, sim.into_probe().digest()))
         })
     });
     g.finish();

@@ -9,7 +9,8 @@
 //! `record` times on this host the reference sweep (sequential vs
 //! fixed worker counts; the speedup is `null` on a single-core host),
 //! the hot-path cycle kernel against the pre-optimization flits/sec
-//! `--baseline` embeds, the sparse active-set core against the dense
+//! `--baseline` embeds (without the flag, the baseline of the report
+//! being replaced is kept), the sparse active-set core against the dense
 //! reference at low injection rates, and the full figure set cold
 //! (fresh content-addressed store) against warm (every point a hit).
 //!
@@ -26,8 +27,8 @@
 
 use noc_core::cache::{self, unique_temp_dir, CacheCounters};
 use noc_core::report::{git_provenance, FigureData, RunMetadata};
-use noc_core::{sweep_rates_with, Experiment, Parallelism, TopologySpec, TrafficSpec};
-use noc_sim::{SimConfig, SimStats};
+use noc_core::{sweep_rates, Experiment, Parallelism, TopologySpec, TrafficSpec};
+use noc_sim::{Recorder, SimConfig, SimStats};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -144,7 +145,8 @@ struct BenchReport {
     speedup_vs_sequential: Option<Speedup>,
     hot_path_flits_per_sec: f64,
     /// The same kernel measured on the pre-optimization simulator
-    /// (passed with `--baseline`; `null` when not measured).
+    /// (passed with `--baseline` or kept from the replaced report;
+    /// `null` when neither has one).
     #[serde(default)]
     hot_path_flits_per_sec_baseline: Option<f64>,
     #[serde(default)]
@@ -258,7 +260,7 @@ fn time_sweep(parallelism: Parallelism) -> Result<f64> {
     let uniform = TrafficSpec::Uniform;
     median_of(|| {
         let (sweep, secs) =
-            timed(|| sweep_rates_with(spidergon, uniform, &config, &rates, 2, parallelism));
+            timed(|| sweep_rates(spidergon, uniform, &config, &rates, 2, parallelism));
         std::hint::black_box(sweep?);
         Ok(secs)
     })
@@ -432,15 +434,14 @@ fn live_failures(recorded: &[LowRateRow]) -> Result<Vec<String>> {
 
     // Observation never perturbs the simulation.
     let experiment = spidergon_uniform(32, 0.3, 5_000, true);
-    let seed = experiment.config.seed;
     let mut recorder = None;
     let pairs = Pairs::measure(
         || {
-            let (run, traced) = experiment.run_traced_with_seed(seed)?;
-            recorder.get_or_insert(traced);
+            let (run, traced) = experiment.run_with(Recorder::new())?;
+            recorder.get_or_insert(traced.into_probe());
             Ok(run)
         },
-        || Ok(experiment.run_with_seed(seed)?),
+        || Ok(experiment.run()?),
     )?;
     let recorder = recorder.expect("one traced run per pair");
     println!(
@@ -500,7 +501,20 @@ fn check(path: &str) -> Result<()> {
     Err(format!("{} gate(s) failed", failures.len()).into())
 }
 
+/// The pre-probe hot-path baseline a `record` writes: the `--baseline`
+/// value when given, else the one the report being replaced holds
+/// (when it parses), else none. A re-record thus keeps the recorded
+/// baseline instead of nulling it.
+fn carried_baseline(flag: Option<f64>, existing: Option<&str>) -> Option<f64> {
+    flag.or_else(|| {
+        serde_json::from_str::<BenchReport>(existing?)
+            .ok()?
+            .hot_path_flits_per_sec_baseline
+    })
+}
+
 fn record(out: &str, baseline: Option<f64>) -> Result<()> {
+    let baseline = carried_baseline(baseline, std::fs::read_to_string(out).ok().as_deref());
     let host_cores = noc_core::parallel::available_cores();
     eprintln!("timing reference sweep ({host_cores} host cores, {REPEATS} repeats each)...");
     let sequential = time_sweep(Parallelism::Sequential)?;
@@ -650,6 +664,17 @@ mod tests {
         let failures = static_failures(&report);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("1 miss(es)"), "{failures:?}");
+    }
+
+    #[test]
+    fn record_baseline_comes_from_the_flag_then_the_replaced_file() {
+        let text = include_str!("../../../../BENCH_sweep.json");
+        let recorded = committed().hot_path_flits_per_sec_baseline;
+        assert!(recorded.is_some());
+        assert_eq!(carried_baseline(Some(1.5e6), Some(text)), Some(1.5e6));
+        assert_eq!(carried_baseline(None, Some(text)), recorded);
+        assert_eq!(carried_baseline(None, None), None);
+        assert_eq!(carried_baseline(None, Some("not json")), None);
     }
 
     #[test]

@@ -40,16 +40,19 @@ fn quick_figure_store_records_round_trip_byte_for_byte() {
             traffic,
             config,
         } = serde_json::from_str(key).unwrap();
-        let seed = config.seed;
         let experiment = Experiment {
             topology,
             traffic,
             config,
         };
-        assert_eq!(canonical_key(&experiment, seed), *key, "key re-encodes");
+        assert_eq!(
+            canonical_key(&experiment, experiment.config.seed),
+            *key,
+            "key re-encodes"
+        );
         assert_eq!(
             decoded,
-            experiment.run_with_seed(seed).unwrap(),
+            experiment.run().unwrap(),
             "{key}: cached result differs from a fresh run"
         );
     }

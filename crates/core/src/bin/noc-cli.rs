@@ -39,7 +39,7 @@ use noc_core::{
     matched_size_cases, run_conformance, run_indexed, Aggregate, Experiment, Parallelism,
     TopologySpec, TrafficSpec,
 };
-use noc_sim::{AuditReport, SimConfig};
+use noc_sim::{AuditReport, NullProbe, SimConfig};
 use std::process::ExitCode;
 
 /// Parses a `--threads` value into a parallelism policy.
@@ -140,13 +140,8 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if audit {
         return cmd_run_audited(&experiment, reps, parallelism);
     }
-    if reps == 1 {
-        let cache = noc_core::ExperimentCache::from_env();
-        let result = if cache.is_enabled() {
-            noc_core::cache::run_cached(&cache, &experiment, experiment.config.seed)?
-        } else {
-            experiment.run()?
-        };
+    let agg = experiment.run_replicated(reps, parallelism)?;
+    if let [result] = agg.runs.as_slice() {
         println!("{}", result.stats);
         println!(
             "acceptance {:.3}, mean hops {:.3}, p95 latency {} cycles",
@@ -155,7 +150,6 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             result.stats.latency.percentile(95.0).unwrap_or(0),
         );
     } else {
-        let agg = experiment.run_replicated_with(reps, parallelism)?;
         print_aggregate(&agg);
     }
     print_cache_summary(counters_before);
@@ -172,11 +166,15 @@ fn cmd_run_audited(
     if reps == 0 {
         return Err("--reps must be a positive integer".into());
     }
-    let jobs: Vec<_> = (0..reps)
-        .map(|r| {
-            let experiment = experiment.clone();
-            let seed = experiment.config.seed.wrapping_add(r as u64);
-            move || experiment.run_audited_with_seed(seed)
+    let mut audited = experiment.clone();
+    audited.config.audit = true;
+    let jobs: Vec<_> = audited
+        .replicas(reps)
+        .map(|replica| {
+            move || {
+                let (run, mut sim) = replica.run_with(NullProbe)?;
+                Ok::<_, noc_core::CoreError>((run, sim.take_audit_report().unwrap_or_default()))
+            }
         })
         .collect();
     let outcomes: Vec<_> = run_indexed(jobs, parallelism)
@@ -252,8 +250,8 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         experiment.traffic.label(),
         experiment.config.injection_rate,
     );
-    let recorder = noc_sim::Recorder::with_window(window);
-    let (result, recorder) = experiment.run_traced_with(experiment.config.seed, recorder)?;
+    let (result, sim) = experiment.run_with(noc_sim::Recorder::with_window(window))?;
+    let recorder = sim.into_probe();
     std::fs::create_dir_all(&out_dir)?;
     std::fs::write(out_dir.join("trace.jsonl"), recorder.to_jsonl())?;
     std::fs::write(out_dir.join("timeseries.csv"), recorder.timeseries_csv())?;
@@ -335,7 +333,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let counters_before = noc_core::cache::counters();
     let experiment: Experiment = serde_json::from_str(&std::fs::read_to_string(path)?)?;
     let rates: Vec<f64> = (1..=steps).map(|i| max * i as f64 / steps as f64).collect();
-    let sweep = noc_core::sweep_rates_with(
+    let sweep = noc_core::sweep_rates(
         experiment.topology,
         experiment.traffic,
         &experiment.config,

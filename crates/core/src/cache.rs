@@ -41,7 +41,7 @@
 //! so `run_replicated`, `sweep_rates` and every figure function become
 //! incremental without API changes.
 
-use crate::{CoreError, Experiment, RunResult};
+use crate::{Experiment, RunResult};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,9 +144,8 @@ pub fn canonical_key_with(
     experiment: &Experiment,
     seed: u64,
 ) -> String {
-    // The seed is substituted into the config exactly as
-    // `Experiment::run_with_seed` does, so the key describes the run
-    // that actually executes.
+    // The seed is substituted into the config, where `Experiment::run`
+    // reads it, so the key describes the run that actually executes.
     let mut config = experiment.config.clone();
     config.seed = seed;
     let key = CacheKey {
@@ -634,40 +633,10 @@ impl ExperimentCache {
     }
 }
 
-/// Convenience wrapper: run one experiment point through the cache —
-/// lookup, simulate on miss, store. Used by the scheduler for its
-/// miss path and directly by tests.
-///
-/// # Errors
-///
-/// Propagates the simulation error on a miss that fails to run; cache
-/// I/O problems silently degrade to recomputation.
-pub fn run_cached(
-    cache: &ExperimentCache,
-    experiment: &Experiment,
-    seed: u64,
-) -> Result<RunResult, CoreError> {
-    if let Some(hit) = cache.lookup(experiment, seed) {
-        record_counters(CacheCounters {
-            hits: 1,
-            ..CacheCounters::default()
-        });
-        return Ok(hit);
-    }
-    let result = experiment.run_with_seed(seed)?;
-    let stored = cache.store(experiment, seed, &result).unwrap_or(false);
-    record_counters(CacheCounters {
-        hits: 0,
-        misses: 1,
-        stores: u64::from(stored),
-    });
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TopologySpec, TrafficSpec};
+    use crate::{Parallelism, TopologySpec, TrafficSpec};
     use noc_sim::SimConfig;
 
     fn experiment() -> Experiment {
@@ -745,7 +714,7 @@ mod tests {
         let exp = experiment();
         assert!(!cache.is_enabled());
         assert!(cache.lookup(&exp, 7).is_none());
-        let fake = exp.run_with_seed(7).unwrap();
+        let fake = exp.run().unwrap();
         assert!(!cache.store(&exp, 7, &fake).unwrap());
         assert_eq!(cache.stats().unwrap(), CacheStats::default());
     }
@@ -769,7 +738,7 @@ mod tests {
         let dir = unique_temp_dir("noc-cache-unit");
         let cache = ExperimentCache::at(&dir);
         let exp = experiment();
-        let fresh = exp.run_with_seed(7).unwrap();
+        let fresh = exp.run().unwrap();
         assert!(cache.lookup(&exp, 7).is_none());
         assert!(cache.store(&exp, 7, &fresh).unwrap());
         assert_eq!(cache.lookup(&exp, 7).unwrap(), fresh);
@@ -784,7 +753,7 @@ mod tests {
             )]
         );
         // A second seed, then GC to zero removes both.
-        let fresh2 = exp.run_with_seed(8).unwrap();
+        let fresh2 = exp.replicas(2).last().unwrap().run().unwrap();
         assert!(cache.store(&exp, 8, &fresh2).unwrap());
         let gc = cache.gc(0).unwrap();
         assert_eq!(gc.removed, 2);
@@ -798,7 +767,7 @@ mod tests {
         let dir = unique_temp_dir("noc-cache-verify");
         let cache = ExperimentCache::at(&dir);
         let exp = experiment();
-        let fresh = exp.run_with_seed(7).unwrap();
+        let fresh = exp.run().unwrap();
         cache.store(&exp, 7, &fresh).unwrap();
         let clean = cache.verify(false).unwrap();
         assert_eq!((clean.ok, clean.corrupt.len(), clean.removed), (1, 0, 0));
@@ -823,8 +792,17 @@ mod tests {
         let cache = ExperimentCache::at(&dir);
         let exp = experiment();
         let before = counters();
-        let miss = run_cached(&cache, &exp, 7).unwrap();
-        let hit = run_cached(&cache, &exp, 7).unwrap();
+        let run = || {
+            crate::run_experiment_jobs_with_cache(
+                vec![exp.clone()],
+                Parallelism::Sequential,
+                &cache,
+            )
+            .unwrap()
+            .0
+        };
+        let miss = run();
+        let hit = run();
         assert_eq!(miss, hit);
         // No other test in this binary reaches an enabled cache while
         // NOC_CACHE is unset, so the process-wide delta is exact.

@@ -36,7 +36,7 @@
 use crate::parallel::{run_indexed, Parallelism};
 use crate::{CoreError, Experiment, RunResult, TopologySpec, TrafficSpec};
 use core::fmt;
-use noc_sim::{AuditReport, SimConfig};
+use noc_sim::{AuditReport, NullProbe, SimConfig};
 
 /// One scenario the harness replays across execution modes.
 #[derive(Clone, PartialEq, Debug)]
@@ -222,26 +222,19 @@ pub fn run_conformance(
     let mut outcomes = Vec::with_capacity(cases.len());
     let mut failures = Vec::new();
     for case in cases {
-        let seeds: Vec<u64> = (0..replications)
-            .map(|r| case.experiment.config.seed.wrapping_add(r as u64))
-            .collect();
+        let replicas: Vec<Experiment> = case.experiment.replicas(replications).collect();
         // Mode 1: unaudited, sequential.
-        let plain: Vec<RunResult> = seeds
+        let plain: Vec<RunResult> = replicas
             .iter()
-            .map(|&s| case.experiment.run_with_seed(s))
+            .map(Experiment::run)
             .collect::<Result<_, _>>()?;
         // Mode 2: audited, sequential.
-        let audited_seq: Vec<(RunResult, AuditReport)> = seeds
-            .iter()
-            .map(|&s| case.experiment.run_audited_with_seed(s))
-            .collect::<Result<_, _>>()?;
+        let audited_seq: Vec<(RunResult, AuditReport)> =
+            replicas.iter().map(run_audited).collect::<Result<_, _>>()?;
         // Mode 3: audited, on the parallel engine.
-        let jobs: Vec<_> = seeds
+        let jobs: Vec<_> = replicas
             .iter()
-            .map(|&s| {
-                let experiment = case.experiment.clone();
-                move || experiment.run_audited_with_seed(s)
-            })
+            .map(|exp| move || run_audited(exp))
             .collect();
         let audited_par: Vec<(RunResult, AuditReport)> = run_indexed(jobs, parallelism)
             .into_iter()
@@ -249,36 +242,31 @@ pub fn run_conformance(
         // Modes 4 and 5: the dense reference core (active-set skipping,
         // fast-forward and compiled route tables all disabled),
         // unaudited and audited.
-        let mut dense_experiment = case.experiment.clone();
-        dense_experiment.config.sparse = false;
-        dense_experiment.config.compiled_routes = false;
-        let dense_plain: Vec<RunResult> = seeds
+        let dense: Vec<Experiment> = replicas
             .iter()
-            .map(|&s| dense_experiment.run_with_seed(s))
-            .collect::<Result<_, _>>()?;
-        let dense_audited: Vec<(RunResult, AuditReport)> = seeds
+            .map(|exp| {
+                let mut dense = exp.clone();
+                dense.config.sparse = false;
+                dense.config.compiled_routes = false;
+                dense
+            })
+            .collect();
+        let dense_plain: Vec<RunResult> = dense
             .iter()
-            .map(|&s| dense_experiment.run_audited_with_seed(s))
+            .map(Experiment::run)
             .collect::<Result<_, _>>()?;
+        let dense_audited: Vec<(RunResult, AuditReport)> =
+            dense.iter().map(run_audited).collect::<Result<_, _>>()?;
         // Modes 6 and 7: through the experiment cache, cold (every
         // point simulated and stored) then warm (every point answered
         // from disk). Each case gets its own throwaway store so
         // concurrent test processes cannot interfere.
         let cache_dir = crate::cache::unique_temp_dir("noc-conformance-cache");
         let cache = crate::cache::ExperimentCache::at(&cache_dir);
-        let jobs = |exp: &Experiment| -> Vec<crate::ExperimentJob> {
-            seeds
-                .iter()
-                .map(|&s| crate::ExperimentJob {
-                    experiment: exp.clone(),
-                    seed: s,
-                })
-                .collect()
-        };
         let (cached_cold, _) =
-            crate::run_experiment_jobs_with_cache(jobs(&case.experiment), parallelism, &cache)?;
+            crate::run_experiment_jobs_with_cache(replicas.clone(), parallelism, &cache)?;
         let (cached_warm, warm_delta) =
-            crate::run_experiment_jobs_with_cache(jobs(&case.experiment), parallelism, &cache)?;
+            crate::run_experiment_jobs_with_cache(replicas, parallelism, &cache)?;
         std::fs::remove_dir_all(&cache_dir).ok();
 
         let audited_matches_unaudited = plain.iter().zip(&audited_seq).all(|(p, (a, _))| p == a);
@@ -338,6 +326,15 @@ pub fn run_conformance(
     }
     failures.truncate(32);
     Ok(ConformanceReport { outcomes, failures })
+}
+
+/// Runs `experiment` with the runtime auditor attached and returns its
+/// result together with the audit findings.
+fn run_audited(experiment: &Experiment) -> Result<(RunResult, AuditReport), CoreError> {
+    let mut audited = experiment.clone();
+    audited.config.audit = true;
+    let (result, mut sim) = audited.run_with(NullProbe)?;
+    Ok((result, sim.take_audit_report().unwrap_or_default()))
 }
 
 #[cfg(test)]

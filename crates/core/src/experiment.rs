@@ -1,9 +1,9 @@
 //! Running experiments: a (topology, traffic, configuration) triple,
 //! single runs and seed-replicated aggregates.
 
-use crate::parallel::{run_experiment_jobs, ExperimentJob, Parallelism};
+use crate::parallel::{run_experiment_jobs, Parallelism};
 use crate::{CoreError, TopologySpec, TrafficSpec};
-use noc_sim::{AuditReport, LatencyStats, Recorder, SimConfig, SimStats, Simulation};
+use noc_sim::{LatencyStats, NullProbe, Probe, SimConfig, SimStats, Simulation};
 use serde::{Deserialize, Serialize};
 
 /// A fully-specified simulation experiment.
@@ -65,14 +65,47 @@ impl RunResult {
 }
 
 impl Experiment {
-    /// Builds and runs the simulation once with the configured seed.
+    /// Builds and runs the simulation once. `config.seed` is the seed;
+    /// `config.audit` attaches the runtime invariant auditor.
     ///
     /// # Errors
     ///
     /// Returns a [`CoreError`] if the specs are invalid or the run
     /// stalls (deadlock watchdog).
     pub fn run(&self) -> Result<RunResult, CoreError> {
-        self.run_with_seed(self.config.seed)
+        self.run_with(NullProbe).map(|(result, _)| result)
+    }
+
+    /// [`run`](Self::run) with an observation probe attached
+    /// ([`noc_sim::probe`]), returning the finished simulation beside
+    /// the result. Read the probe back with
+    /// [`Simulation::into_probe`] (e.g. a [`noc_sim::Recorder`]
+    /// holding the flit-lifecycle trace, time-series windows and
+    /// latency decomposition) and, when `config.audit` is set, the
+    /// auditor's findings with [`Simulation::take_audit_report`].
+    ///
+    /// Neither probing nor auditing perturbs the simulation: the
+    /// returned [`RunResult`] is bit-identical to [`run`](Self::run)
+    /// (the conformance harness in [`crate::conformance`] asserts this
+    /// for auditing), and because a run is seed-deterministic a
+    /// recorder's exports are byte-identical for any worker-thread
+    /// count of the surrounding engine (asserted in
+    /// `crates/core/tests/trace.rs`).
+    ///
+    /// # Errors
+    ///
+    /// See [`run`](Self::run).
+    pub fn run_with<P: Probe>(&self, probe: P) -> Result<(RunResult, Simulation<P>), CoreError> {
+        let (topology_label, mut sim) = self.assemble(probe)?;
+        let stats = sim.run()?;
+        let result = RunResult {
+            topology_label,
+            traffic_label: self.traffic.label(),
+            injection_rate: self.config.injection_rate,
+            seed: self.config.seed,
+            stats,
+        };
+        Ok((result, sim))
     }
 
     /// Builds the configured simulation without running it, for
@@ -83,152 +116,41 @@ impl Experiment {
     ///
     /// Returns a [`CoreError`] if the specs are invalid.
     pub fn build_simulation(&self) -> Result<Simulation, CoreError> {
-        let topo = self.topology.build()?;
-        let routing = self.topology.build_routing()?;
-        let pattern = self.traffic.build(&self.topology)?;
-        Ok(Simulation::new(
-            topo,
-            routing,
-            pattern,
-            self.config.clone(),
-        )?)
+        Ok(self.assemble(NullProbe)?.1)
     }
 
-    /// Runs once with an explicit seed (overriding the configured one).
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    pub fn run_with_seed(&self, seed: u64) -> Result<RunResult, CoreError> {
+    /// The topology label and the simulation of this experiment, with
+    /// `probe` attached.
+    fn assemble<P: Probe>(&self, probe: P) -> Result<(String, Simulation<P>), CoreError> {
         let topo = self.topology.build()?;
         let routing = self.topology.build_routing()?;
         let pattern = self.traffic.build(&self.topology)?;
-        let mut config = self.config.clone();
-        config.seed = seed;
         let topology_label = topo.label();
-        let mut sim = Simulation::new(topo, routing, pattern, config)?;
-        let stats = sim.run()?;
-        Ok(RunResult {
-            topology_label,
-            traffic_label: self.traffic.label(),
-            injection_rate: self.config.injection_rate,
-            seed,
-            stats,
+        let sim = Simulation::with_probe(topo, routing, pattern, self.config.clone(), probe)?;
+        Ok((topology_label, sim))
+    }
+
+    /// The `replications` copies of this experiment that a replicated
+    /// run executes: seeds `seed, seed+1, ...` written into
+    /// `config.seed`.
+    pub fn replicas(&self, replications: usize) -> impl Iterator<Item = Experiment> + '_ {
+        (0..replications).map(move |r| {
+            let mut replica = self.clone();
+            replica.config.seed = self.config.seed.wrapping_add(r as u64);
+            replica
         })
     }
 
-    /// Runs once with an explicit seed and the runtime invariant
-    /// auditor attached ([`noc_sim::audit`]), regardless of
-    /// `config.audit`. Returns the run result together with the audit
-    /// findings.
-    ///
-    /// Auditing never perturbs the simulation: the returned
-    /// [`RunResult`] is identical to [`run_with_seed`] with the same
-    /// seed (the conformance harness in [`crate::conformance`] asserts
-    /// this bit-for-bit).
-    ///
-    /// [`run_with_seed`]: Self::run_with_seed
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    pub fn run_audited_with_seed(&self, seed: u64) -> Result<(RunResult, AuditReport), CoreError> {
-        let topo = self.topology.build()?;
-        let routing = self.topology.build_routing()?;
-        let pattern = self.traffic.build(&self.topology)?;
-        let mut config = self.config.clone();
-        config.seed = seed;
-        config.audit = true;
-        let topology_label = topo.label();
-        let mut sim = Simulation::new(topo, routing, pattern, config)?;
-        let stats = sim.run()?;
-        let report = sim.take_audit_report().unwrap_or_default();
-        Ok((
-            RunResult {
-                topology_label,
-                traffic_label: self.traffic.label(),
-                injection_rate: self.config.injection_rate,
-                seed,
-                stats,
-            },
-            report,
-        ))
-    }
-
-    /// Runs once with an explicit seed and a recording probe attached
-    /// ([`noc_sim::probe`]): the **probed run mode**. Returns the run
-    /// result together with the recorder holding the flit-lifecycle
-    /// trace, time-series windows and latency decomposition.
-    ///
-    /// Probing never perturbs the simulation: the returned
-    /// [`RunResult`] is bit-identical to [`run_with_seed`] with the
-    /// same seed, and because a run is seed-deterministic the
-    /// recorder's exports are byte-identical for any worker-thread
-    /// count of the surrounding engine (asserted in
-    /// `crates/core/tests/trace.rs`).
-    ///
-    /// [`run_with_seed`]: Self::run_with_seed
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    pub fn run_traced_with_seed(&self, seed: u64) -> Result<(RunResult, Recorder), CoreError> {
-        self.run_traced_with(seed, Recorder::new())
-    }
-
-    /// [`run_traced_with_seed`](Self::run_traced_with_seed) with a
-    /// caller-configured recorder (e.g. a custom time-series window).
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    pub fn run_traced_with(
-        &self,
-        seed: u64,
-        recorder: Recorder,
-    ) -> Result<(RunResult, Recorder), CoreError> {
-        let topo = self.topology.build()?;
-        let routing = self.topology.build_routing()?;
-        let pattern = self.traffic.build(&self.topology)?;
-        let mut config = self.config.clone();
-        config.seed = seed;
-        let topology_label = topo.label();
-        let mut sim = Simulation::with_probe(topo, routing, pattern, config, recorder)?;
-        let stats = sim.run()?;
-        Ok((
-            RunResult {
-                topology_label,
-                traffic_label: self.traffic.label(),
-                injection_rate: self.config.injection_rate,
-                seed,
-                stats,
-            },
-            sim.into_probe(),
-        ))
-    }
-
-    /// Runs `replications` times with seeds `seed, seed+1, ...` and
-    /// aggregates throughput and latency.
-    ///
-    /// Replications execute on the parallel experiment engine under
-    /// [`Parallelism::Auto`] (see [`crate::parallel`]); results are
-    /// identical to a sequential loop for any worker count.
+    /// Runs the [`replicas`](Self::replicas) on the parallel experiment
+    /// engine (see [`crate::parallel`]) and aggregates throughput and
+    /// latency. Results are identical to a sequential loop for any
+    /// worker count.
     ///
     /// # Errors
     ///
     /// Returns the lowest-seed error encountered; requires
     /// `replications > 0` ([`CoreError::InvalidSpec`] otherwise).
-    pub fn run_replicated(&self, replications: usize) -> Result<Aggregate, CoreError> {
-        self.run_replicated_with(replications, Parallelism::default())
-    }
-
-    /// [`run_replicated`](Self::run_replicated) with an explicit
-    /// parallelism policy.
-    ///
-    /// # Errors
-    ///
-    /// See [`run_replicated`](Self::run_replicated).
-    pub fn run_replicated_with(
+    pub fn run_replicated(
         &self,
         replications: usize,
         parallelism: Parallelism,
@@ -238,13 +160,7 @@ impl Experiment {
                 reason: "replications must be positive".to_owned(),
             });
         }
-        let jobs: Vec<ExperimentJob> = (0..replications)
-            .map(|r| ExperimentJob {
-                experiment: self.clone(),
-                seed: self.config.seed.wrapping_add(r as u64),
-            })
-            .collect();
-        let runs = run_experiment_jobs(jobs, parallelism)?;
+        let runs = run_experiment_jobs(self.replicas(replications).collect(), parallelism)?;
         Ok(Aggregate::from_runs(runs))
     }
 }
@@ -338,6 +254,7 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_sim::Recorder;
 
     fn quick(lambda: f64) -> Experiment {
         Experiment {
@@ -364,7 +281,9 @@ mod tests {
 
     #[test]
     fn replication_aggregates_have_spread() {
-        let agg = quick(0.2).run_replicated(4).unwrap();
+        let agg = quick(0.2)
+            .run_replicated(4, Parallelism::default())
+            .unwrap();
         assert_eq!(agg.runs.len(), 4);
         assert!(agg.throughput_mean > 0.0);
         assert!(agg.throughput_std >= 0.0);
@@ -381,30 +300,63 @@ mod tests {
     #[test]
     fn zero_replications_rejected() {
         assert!(matches!(
-            quick(0.1).run_replicated(0),
+            quick(0.1).run_replicated(0, Parallelism::default()),
             Err(CoreError::InvalidSpec { .. })
         ));
     }
 
     #[test]
-    fn run_with_seed_is_deterministic() {
-        let exp = quick(0.15);
-        let a = exp.run_with_seed(77).unwrap();
-        let b = exp.run_with_seed(77).unwrap();
-        assert_eq!(a, b);
+    fn replicas_write_consecutive_seeds() {
+        let exp = quick(0.1);
+        let seeds: Vec<u64> = exp.replicas(3).map(|r| r.config.seed).collect();
+        assert_eq!(seeds, vec![1, 2, 3]);
+        assert!(exp.replicas(3).all(|r| r.topology == exp.topology));
+    }
+
+    #[test]
+    fn run_is_deterministic() {
+        let mut exp = quick(0.15);
+        exp.config.seed = 77;
+        let a = exp.run().unwrap();
+        assert_eq!(a.seed, 77);
+        assert_eq!(a, exp.run().unwrap());
     }
 
     #[test]
     fn traced_run_matches_plain_run() {
-        let exp = quick(0.2);
-        let plain = exp.run_with_seed(9).unwrap();
-        let (traced, rec) = exp.run_traced_with_seed(9).unwrap();
-        assert_eq!(plain, traced, "tracing must not perturb the run");
-        assert!(!rec.events().is_empty());
-        assert_eq!(
-            rec.breakdown().total.count() as usize,
-            rec.packet_timings().len()
-        );
+        for topology in [
+            TopologySpec::Ring { nodes: 8 },
+            TopologySpec::Spidergon { nodes: 8 },
+            TopologySpec::Mesh { cols: 4, rows: 2 },
+        ] {
+            let mut exp = quick(0.2);
+            exp.topology = topology;
+            exp.config.seed = 9;
+            let plain = exp.run().unwrap();
+            let (traced, sim) = exp.run_with(Recorder::new()).unwrap();
+            assert_eq!(
+                plain, traced,
+                "{topology:?}: tracing must not perturb the run"
+            );
+            let rec = sim.into_probe();
+            assert!(!rec.events().is_empty(), "{topology:?}");
+            assert_eq!(
+                rec.breakdown().total.count() as usize,
+                rec.packet_timings().len()
+            );
+
+            let mut audited = exp.clone();
+            audited.config.audit = true;
+            let (checked, mut sim) = audited.run_with(NullProbe).unwrap();
+            assert_eq!(
+                plain, checked,
+                "{topology:?}: auditing must not perturb the run"
+            );
+            assert_eq!(audited.run().unwrap(), plain);
+            let report = sim.take_audit_report().expect("audit was enabled");
+            assert!(report.checks > 0, "{topology:?}");
+            assert!(report.violations.is_empty(), "{topology:?}: {report:?}");
+        }
     }
 
     #[test]

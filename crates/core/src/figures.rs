@@ -13,7 +13,7 @@
 //! The `_7`, `_9`, `_11` variants share the sweep with their throughput
 //! siblings, so both figures of a pair cost one set of simulations.
 
-use crate::parallel::{run_experiment_jobs, run_indexed, ExperimentJob, Parallelism};
+use crate::parallel::{run_experiment_jobs, run_indexed, Parallelism};
 use crate::report::{FigureData, Point, Series};
 use crate::sweep::{sweep_from_runs, sweep_jobs, validate_rates};
 use crate::{Aggregate, CoreError, Experiment, RunResult, SweepResult, TopologySpec, TrafficSpec};
@@ -288,12 +288,7 @@ pub fn fig5(opts: &FigureOptions) -> Result<FigureData, CoreError> {
                 traffic: TrafficSpec::Uniform,
                 config,
             };
-            for rep in 0..opts.replications {
-                jobs.push(ExperimentJob {
-                    seed: experiment.config.seed.wrapping_add(rep as u64),
-                    experiment: experiment.clone(),
-                });
-            }
+            jobs.extend(experiment.replicas(opts.replications));
             grid.push((slot, n));
         }
     }
@@ -588,7 +583,7 @@ pub fn ext_adaptive(opts: &FigureOptions) -> Result<(FigureData, FigureData), Co
         cols: side,
         rows: side,
     };
-    // Custom routing objects cannot be expressed as `ExperimentJob`s,
+    // Custom routing objects cannot be expressed as an `Experiment`,
     // so this driver uses the generic engine entry point directly: one
     // closure per (routing, rate, replication), each building its own
     // simulation, with results reassembled in flattening order.
@@ -797,12 +792,7 @@ pub fn ext_mixed_hotspot(opts: &FigureOptions) -> Result<FigureData, CoreError> 
                 },
                 config,
             };
-            for rep in 0..opts.replications {
-                jobs.push(ExperimentJob {
-                    seed: experiment.config.seed.wrapping_add(rep as u64),
-                    experiment: experiment.clone(),
-                });
-            }
+            jobs.extend(experiment.replicas(opts.replications));
         }
     }
     let mut runs = run_experiment_jobs(jobs, Parallelism::default())?.into_iter();
@@ -848,18 +838,15 @@ pub fn ext_link_heatmap(opts: &FigureOptions) -> Result<FigureData, CoreError> {
         "link index (node-major, port-minor)",
         "utilization (flits/cycle)",
     );
-    let jobs: Vec<ExperimentJob> = families(n)
+    let jobs: Vec<Experiment> = families(n)
         .into_iter()
         .map(|(_, spec)| {
             let mut config = opts.base_config();
             config.injection_rate = 0.3;
-            ExperimentJob {
-                seed: opts.seed,
-                experiment: Experiment {
-                    topology: spec,
-                    traffic: TrafficSpec::SingleHotspot { target: 0 },
-                    config,
-                },
+            Experiment {
+                topology: spec,
+                traffic: TrafficSpec::SingleHotspot { target: 0 },
+                config,
             }
         })
         .collect();

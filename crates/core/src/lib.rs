@@ -8,8 +8,11 @@
 //! a declarative API:
 //!
 //! * [`TopologySpec`] / [`TrafficSpec`] — serializable experiment specs;
-//! * [`Experiment`] — one (topology, traffic, config) run, with seed
-//!   replication ([`Experiment::run_replicated`]);
+//! * [`Experiment`] — the unit of work: one (topology, traffic, config)
+//!   point whose `config.seed` is its seed and `config.audit` its audit
+//!   switch. [`Experiment::run`] runs it, [`Experiment::run_with`]
+//!   runs it with an observation probe attached, and
+//!   [`Experiment::run_replicated`] runs its seed replicas;
 //! * [`sweep_rates`] — injection-rate sweeps (the x-axis of the paper's
 //!   Figures 6-11);
 //! * [`parallel`] — deterministic scoped-thread engine that fans out
@@ -71,12 +74,10 @@ pub use conformance::{
 pub use error::CoreError;
 pub use experiment::{mean_std, Aggregate, Experiment, RunResult};
 pub use figures::FigureOptions;
-pub use parallel::{
-    run_experiment_jobs, run_experiment_jobs_with_cache, run_indexed, ExperimentJob, Parallelism,
-};
+pub use parallel::{run_experiment_jobs, run_experiment_jobs_with_cache, run_indexed, Parallelism};
 pub use saturation::{saturation_point, SaturationPoint, DEFAULT_ACCEPTANCE_THRESHOLD};
 pub use spec::{TopologySpec, TrafficSpec};
-pub use sweep::{default_rate_grid, sweep_rates, sweep_rates_with, SweepPoint, SweepResult};
+pub use sweep::{default_rate_grid, sweep_rates, SweepPoint, SweepResult};
 
 // Re-export the component crates so downstream users need only one
 // dependency.

@@ -118,29 +118,9 @@ where
         .collect()
 }
 
-/// One entry of a flattened experiment grid: an [`Experiment`] plus the
-/// replication seed it must run with.
-#[derive(Clone, PartialEq, Debug)]
-pub struct ExperimentJob {
-    /// The experiment to run.
-    pub experiment: Experiment,
-    /// Seed for this job (overrides `experiment.config.seed`).
-    pub seed: u64,
-}
-
-impl ExperimentJob {
-    /// Runs the job on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_with_seed`].
-    pub fn run(&self) -> Result<RunResult, CoreError> {
-        self.experiment.run_with_seed(self.seed)
-    }
-}
-
-/// Runs a flattened job list through the engine, returning run results
-/// in job order.
+/// Runs a flattened list of experiments through the engine, returning
+/// their run results in list order. Each experiment runs with its own
+/// `config.seed` (see [`Experiment::replicas`]).
 ///
 /// When the `NOC_CACHE` environment variable enables the experiment
 /// cache (see [`crate::cache::ExperimentCache::from_env`]), cached
@@ -154,7 +134,7 @@ impl ExperimentJob {
 /// job — the same error a sequential loop would have stopped at, so
 /// error reporting is deterministic too.
 pub fn run_experiment_jobs(
-    jobs: Vec<ExperimentJob>,
+    jobs: Vec<Experiment>,
     parallelism: Parallelism,
 ) -> Result<Vec<RunResult>, CoreError> {
     run_experiment_jobs_with_cache(
@@ -184,7 +164,7 @@ pub fn run_experiment_jobs(
 /// job's error. (Hits cannot fail, and misses keep their original
 /// relative order, so the first miss error *is* the lowest-index one.)
 pub fn run_experiment_jobs_with_cache(
-    jobs: Vec<ExperimentJob>,
+    jobs: Vec<Experiment>,
     parallelism: Parallelism,
     cache: &crate::cache::ExperimentCache,
 ) -> Result<(Vec<RunResult>, crate::cache::CacheCounters), CoreError> {
@@ -200,10 +180,10 @@ pub fn run_experiment_jobs_with_cache(
     // Partition: fill hit slots immediately, keep misses (with their
     // original index) in ascending order.
     let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(jobs.len());
-    let mut misses: Vec<(usize, ExperimentJob)> = Vec::new();
+    let mut misses: Vec<(usize, Experiment)> = Vec::new();
     let mut hits: u64 = 0;
     for (index, job) in jobs.into_iter().enumerate() {
-        match cache.lookup(&job.experiment, job.seed) {
+        match cache.lookup(&job, job.config.seed) {
             Some(result) => {
                 hits += 1;
                 slots.push(Some(result));
@@ -231,10 +211,7 @@ pub fn run_experiment_jobs_with_cache(
             Ok(result) => {
                 // Best-effort: successes are worth keeping even when a
                 // sibling job failed the overall call.
-                if cache
-                    .store(&job.experiment, job.seed, &result)
-                    .unwrap_or(false)
-                {
+                if cache.store(job, job.config.seed, &result).unwrap_or(false) {
                     stores += 1;
                 }
                 splice.push((*index, result));
@@ -332,24 +309,7 @@ mod tests {
             topology: TopologySpec::Ring { nodes },
             ..good.clone()
         };
-        let jobs = vec![
-            ExperimentJob {
-                experiment: good.clone(),
-                seed: 1,
-            },
-            ExperimentJob {
-                experiment: bad(1),
-                seed: 2,
-            },
-            ExperimentJob {
-                experiment: good.clone(),
-                seed: 3,
-            },
-            ExperimentJob {
-                experiment: bad(2),
-                seed: 4,
-            },
-        ];
+        let jobs = vec![good.clone(), bad(1), good.clone(), bad(2)];
         let expected = jobs[1].run().unwrap_err().to_string();
         let err = run_experiment_jobs(jobs, Parallelism::Fixed(4)).unwrap_err();
         assert_eq!(err.to_string(), expected);

@@ -34,7 +34,7 @@ pub const DEFAULT_ACCEPTANCE_THRESHOLD: f64 = 0.95;
 /// # Examples
 ///
 /// ```
-/// use noc_core::{saturation_point, sweep_rates, TopologySpec, TrafficSpec};
+/// use noc_core::{saturation_point, sweep_rates, Parallelism, TopologySpec, TrafficSpec};
 /// use noc_sim::SimConfig;
 ///
 /// let base = SimConfig::builder()
@@ -47,6 +47,7 @@ pub const DEFAULT_ACCEPTANCE_THRESHOLD: f64 = 0.95;
 ///     &base,
 ///     &[0.1, 0.3, 0.6, 0.9],
 ///     1,
+///     Parallelism::default(),
 /// )?;
 /// // A 16-node ring saturates well below 0.9 flits/cycle/node.
 /// let sat = saturation_point(&sweep, 0.95).expect("ring saturates");

@@ -1,6 +1,6 @@
 //! Injection-rate sweeps: the x-axis of the paper's Figures 6-11.
 
-use crate::parallel::{run_experiment_jobs, ExperimentJob, Parallelism};
+use crate::parallel::{run_experiment_jobs, Parallelism};
 use crate::{Aggregate, CoreError, Experiment, RunResult, TopologySpec, TrafficSpec};
 use noc_sim::SimConfig;
 use serde::{Deserialize, Serialize};
@@ -64,7 +64,12 @@ impl SweepResult {
 }
 
 /// Sweeps the injection rate over `rates` for a (topology, traffic)
-/// pair, running `replications` seeds per point.
+/// pair, running `replications` seeds per point under `parallelism`.
+///
+/// The whole rate × replication product is flattened into one job list
+/// for the engine — with R rates and K replications, up to `R * K`
+/// simulations run concurrently, not just the K replications of one
+/// point at a time.
 ///
 /// # Errors
 ///
@@ -74,7 +79,7 @@ impl SweepResult {
 /// # Examples
 ///
 /// ```
-/// use noc_core::{sweep_rates, TopologySpec, TrafficSpec};
+/// use noc_core::{sweep_rates, Parallelism, TopologySpec, TrafficSpec};
 /// use noc_sim::SimConfig;
 ///
 /// let base = SimConfig::builder()
@@ -87,39 +92,13 @@ impl SweepResult {
 ///     &base,
 ///     &[0.05, 0.1],
 ///     1,
+///     Parallelism::default(),
 /// )?;
 /// assert_eq!(result.points.len(), 2);
 /// assert!(result.points[1].throughput_mean > result.points[0].throughput_mean);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn sweep_rates(
-    topology: TopologySpec,
-    traffic: TrafficSpec,
-    base_config: &SimConfig,
-    rates: &[f64],
-    replications: usize,
-) -> Result<SweepResult, CoreError> {
-    sweep_rates_with(
-        topology,
-        traffic,
-        base_config,
-        rates,
-        replications,
-        Parallelism::default(),
-    )
-}
-
-/// [`sweep_rates`] with an explicit parallelism policy.
-///
-/// The whole rate × replication product is flattened into one job list
-/// for the engine — with R rates and K replications, up to `R * K`
-/// simulations run concurrently, not just the K replications of one
-/// point at a time.
-///
-/// # Errors
-///
-/// See [`sweep_rates`].
-pub fn sweep_rates_with(
     topology: TopologySpec,
     traffic: TrafficSpec,
     base_config: &SimConfig,
@@ -161,7 +140,7 @@ pub(crate) fn sweep_jobs(
     base_config: &SimConfig,
     rates: &[f64],
     replications: usize,
-) -> Vec<ExperimentJob> {
+) -> Vec<Experiment> {
     let mut jobs = Vec::with_capacity(rates.len() * replications);
     for &rate in rates {
         let mut config = base_config.clone();
@@ -171,12 +150,7 @@ pub(crate) fn sweep_jobs(
             traffic,
             config,
         };
-        for r in 0..replications {
-            jobs.push(ExperimentJob {
-                seed: experiment.config.seed.wrapping_add(r as u64),
-                experiment: experiment.clone(),
-            });
-        }
+        jobs.extend(experiment.replicas(replications));
     }
     jobs
 }
@@ -258,6 +232,7 @@ mod tests {
             &base(),
             &[0.05, 0.1, 0.2],
             2,
+            Parallelism::default(),
         )
         .unwrap();
         assert_eq!(result.topology_label, "spidergon-8");
@@ -279,6 +254,7 @@ mod tests {
             &base(),
             &[],
             1,
+            Parallelism::default(),
         );
         assert!(matches!(e, Err(CoreError::InvalidSpec { .. })));
         let e = sweep_rates(
@@ -287,6 +263,7 @@ mod tests {
             &base(),
             &[0.2, 0.1],
             1,
+            Parallelism::default(),
         );
         assert!(matches!(e, Err(CoreError::InvalidSpec { .. })));
     }
@@ -322,7 +299,7 @@ mod tests {
     #[test]
     fn sweep_with_fixed_threads_matches_sequential() {
         let run = |par| {
-            sweep_rates_with(
+            sweep_rates(
                 TopologySpec::Ring { nodes: 6 },
                 TrafficSpec::Uniform,
                 &base(),

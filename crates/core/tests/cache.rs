@@ -17,10 +17,10 @@
 //!   bit-identically, sequential or parallel.
 
 use noc_core::cache::{
-    canonical_key, code_version_token, fingerprint, fingerprint_with, run_cached, unique_temp_dir,
+    canonical_key, code_version_token, fingerprint, fingerprint_with, unique_temp_dir,
     CacheCounters, ExperimentCache, CACHE_SCHEMA,
 };
-use noc_core::{Experiment, ExperimentJob, Parallelism, TopologySpec, TrafficSpec};
+use noc_core::{Experiment, Parallelism, RunResult, TopologySpec, TrafficSpec};
 use noc_sim::SimConfig;
 use proptest::prelude::*;
 
@@ -59,6 +59,20 @@ fn experiment(pick: u8, size: usize, hotspot: bool, rate: f64, seed: u64) -> Exp
 /// A fast experiment for tests that actually simulate.
 fn small_experiment(rate: f64) -> Experiment {
     experiment(1, 2, false, rate, 7)
+}
+
+/// [`small_experiment`] with another seed.
+fn small_experiment_seeded(rate: f64, seed: u64) -> Experiment {
+    experiment(1, 2, false, rate, seed)
+}
+
+/// One point through the scheduler's cache path: lookup, simulate on a
+/// miss, store.
+fn run_through(cache: &ExperimentCache, exp: &Experiment) -> RunResult {
+    let (mut results, _) =
+        noc_core::run_experiment_jobs_with_cache(vec![exp.clone()], Parallelism::Sequential, cache)
+            .unwrap();
+    results.remove(0)
 }
 
 proptest! {
@@ -218,7 +232,7 @@ fn truncated_record_is_rejected_recomputed_and_replaced() {
     let dir = unique_temp_dir("noc-cache-truncate");
     let cache = ExperimentCache::at(&dir);
     let exp = small_experiment(0.2);
-    let fresh = exp.run_with_seed(7).unwrap();
+    let fresh = exp.run().unwrap();
     cache.store(&exp, 7, &fresh).unwrap();
     let record = record_paths(&cache)[0].clone();
     let full = std::fs::read(&record).unwrap();
@@ -233,7 +247,7 @@ fn truncated_record_is_rejected_recomputed_and_replaced() {
         // The corrupt entry was evicted on lookup; recompute and
         // re-store to restore the cache for the next iteration.
         assert!(!record.exists(), "corrupt record must be evicted");
-        let recomputed = run_cached(&cache, &exp, 7).unwrap();
+        let recomputed = run_through(&cache, &exp);
         assert_eq!(
             recomputed, fresh,
             "recomputed point must equal the original"
@@ -248,7 +262,7 @@ fn bit_flipped_record_is_rejected_recomputed_and_replaced() {
     let dir = unique_temp_dir("noc-cache-bitflip");
     let cache = ExperimentCache::at(&dir);
     let exp = small_experiment(0.2);
-    let fresh = exp.run_with_seed(7).unwrap();
+    let fresh = exp.run().unwrap();
     cache.store(&exp, 7, &fresh).unwrap();
     let record = record_paths(&cache)[0].clone();
     let full = std::fs::read(&record).unwrap();
@@ -270,7 +284,7 @@ fn bit_flipped_record_is_rejected_recomputed_and_replaced() {
                 result == fresh
             );
         }
-        let recomputed = run_cached(&cache, &exp, 7).unwrap();
+        let recomputed = run_through(&cache, &exp);
         assert_eq!(recomputed, fresh);
         assert_eq!(std::fs::read(&record).unwrap(), full, "entry replaced");
     }
@@ -281,15 +295,10 @@ fn bit_flipped_record_is_rejected_recomputed_and_replaced() {
 fn cold_then_warm_pass_is_incremental_and_bit_identical() {
     let dir = unique_temp_dir("noc-cache-coldwarm");
     let cache = ExperimentCache::at(&dir);
-    let jobs = || -> Vec<ExperimentJob> {
+    let jobs = || -> Vec<Experiment> {
         [0.1, 0.2, 0.3]
             .iter()
-            .flat_map(|&rate| {
-                (0..2u64).map(move |r| ExperimentJob {
-                    experiment: small_experiment(rate),
-                    seed: 7 + r,
-                })
-            })
+            .flat_map(|&rate| small_experiment(rate).replicas(2).collect::<Vec<_>>())
             .collect()
     };
     // Reference: no cache involved at all.
@@ -326,17 +335,8 @@ fn cold_then_warm_pass_is_incremental_and_bit_identical() {
     // Partially warm: two new seeds slot in between existing points and
     // only they simulate, in deterministic order.
     let mut extended = jobs();
-    extended.insert(
-        2,
-        ExperimentJob {
-            experiment: small_experiment(0.1),
-            seed: 99,
-        },
-    );
-    extended.push(ExperimentJob {
-        experiment: small_experiment(0.3),
-        seed: 100,
-    });
+    extended.insert(2, small_experiment_seeded(0.1, 99));
+    extended.push(small_experiment_seeded(0.3, 100));
     let (mixed, delta) =
         noc_core::run_experiment_jobs_with_cache(extended.clone(), Parallelism::Fixed(2), &cache)
             .unwrap();
@@ -354,7 +354,7 @@ fn gc_keeps_newest_records_within_budget() {
     let exp = small_experiment(0.2);
     let mut sizes = Vec::new();
     for seed in 0..4u64 {
-        let result = exp.run_with_seed(seed).unwrap();
+        let result = small_experiment_seeded(0.2, seed).run().unwrap();
         cache.store(&exp, seed, &result).unwrap();
         // Space out mtimes so "oldest first" is well defined even on
         // coarse filesystem clocks.

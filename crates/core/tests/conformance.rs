@@ -20,7 +20,7 @@
 use noc_core::{
     matched_size_cases, run_conformance, Experiment, Parallelism, TopologySpec, TrafficSpec,
 };
-use noc_sim::SimConfig;
+use noc_sim::{NullProbe, SimConfig};
 
 fn base_config() -> SimConfig {
     SimConfig::builder()
@@ -53,7 +53,7 @@ fn sparse_and_dense_cores_agree_for_explicit_seeds() {
     // full-featured sparse core (active set + fast-forward + compiled
     // routes) against the dense reference, on the paper's hot-spot
     // scenario where routers idle unevenly.
-    let sparse_exp = Experiment {
+    let mut sparse_exp = Experiment {
         topology: TopologySpec::Spidergon { nodes: 16 },
         traffic: TrafficSpec::SingleHotspot { target: 0 },
         config: base_config(),
@@ -63,8 +63,10 @@ fn sparse_and_dense_cores_agree_for_explicit_seeds() {
     dense_exp.config.compiled_routes = false;
     assert!(sparse_exp.config.sparse, "sparse core is the default");
     for seed in [7u64, 1234] {
-        let sparse = sparse_exp.run_with_seed(seed).unwrap();
-        let dense = dense_exp.run_with_seed(seed).unwrap();
+        sparse_exp.config.seed = seed;
+        dense_exp.config.seed = seed;
+        let sparse = sparse_exp.run().unwrap();
+        let dense = dense_exp.run().unwrap();
         assert_eq!(sparse, dense, "seed {seed}: sparse core diverged");
     }
 }
@@ -82,14 +84,18 @@ fn sequential_policy_agrees_with_fixed_policy() {
 
 #[test]
 fn audited_equals_unaudited_for_explicit_seeds() {
-    let exp = Experiment {
+    let mut exp = Experiment {
         topology: TopologySpec::Spidergon { nodes: 16 },
         traffic: TrafficSpec::SingleHotspot { target: 0 },
         config: base_config(),
     };
     for seed in [1u64, 99, 0xBAD5EED] {
-        let plain = exp.run_with_seed(seed).unwrap();
-        let (audited, report) = exp.run_audited_with_seed(seed).unwrap();
+        exp.config.seed = seed;
+        let plain = exp.run().unwrap();
+        let mut audited_exp = exp.clone();
+        audited_exp.config.audit = true;
+        let (audited, mut sim) = audited_exp.run_with(NullProbe).unwrap();
+        let report = sim.take_audit_report().unwrap();
         assert_eq!(plain, audited, "seed {seed}: audit perturbed the run");
         assert!(report.is_clean(), "seed {seed}:\n{report}");
         assert!(report.preflight_ran);

@@ -2,19 +2,22 @@
 //! cache records, golden files and `noc-cli` specs:
 //!
 //! * **no panics** — every truncation and every single-bit flip of a
-//!   real cache-record payload, both golden files and a `noc-cli`
-//!   experiment spec decodes to `Err` or to a value, never a panic;
+//!   real cache-record payload, both golden files, a `noc-cli`
+//!   experiment spec and a pipeline trace decodes to `Err` or to a
+//!   value, never a panic; a decoded trace also replays without one;
 //! * **one error per malformed shape** — missing field (named),
 //!   unknown variant, wrong type, duplicate key, trailing characters,
-//!   out-of-range histogram bin and missing `bins`;
+//!   out-of-range histogram bin, missing `bins` and a trace entry
+//!   outside the network or addressed to its own source;
 //! * **lenient where it always was** — unknown fields are skipped,
 //!   floats accept integers and `null` (NaN), and fields marked
 //!   `#[serde(default)]` may be absent;
 //! * **round trips** — `from_str(to_string(x)) == x` for random
 //!   `SimConfig`, `TopologySpec` and `TrafficSpec` values.
 
-use noc_core::noc_sim::SimConfig;
-use noc_core::noc_traffic::{InjectionProcess, PlacementScenario};
+use noc_core::noc_sim::{SimConfig, Simulation};
+use noc_core::noc_topology::NodeId;
+use noc_core::noc_traffic::{InjectionProcess, PlacementScenario, Trace};
 use noc_core::{Experiment, RunResult, SweepPoint, TopologySpec, TrafficSpec};
 use proptest::prelude::*;
 use serde::Deserialize;
@@ -36,7 +39,9 @@ fn small_experiment() -> Experiment {
 
 /// A cache-record payload: the store writes a result's JSON as is.
 fn record_payload() -> String {
-    serde_json::to_string(&small_experiment().run_with_seed(7).unwrap()).unwrap()
+    let mut experiment = small_experiment();
+    experiment.config.seed = 7;
+    serde_json::to_string(&experiment.run().unwrap()).unwrap()
 }
 
 fn golden(file: &str) -> String {
@@ -59,12 +64,15 @@ fn cli_spec() -> String {
 }
 
 /// Decodes every prefix and every single-bit flip of `text` (those
-/// that are still UTF-8, as the store checks before decoding) and
-/// fails on the first panic.
-fn assert_decoder_never_panics<T: Deserialize>(name: &str, text: &str) {
+/// that are still UTF-8, as the store checks before decoding), hands
+/// each decoded value to `use_value`, and fails on the first panic of
+/// either.
+fn assert_decoder_never_panics<T: Deserialize>(name: &str, text: &str, use_value: impl Fn(T)) {
     let decode = |what: &str, at: usize, input: &str| {
-        let outcome = std::panic::catch_unwind(|| serde_json::from_str::<T>(input).is_ok());
-        assert!(outcome.is_ok(), "{name}: decoder panicked on {what} {at}");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serde_json::from_str::<T>(input).map(&use_value).is_ok()
+        }));
+        assert!(outcome.is_ok(), "{name}: panicked on {what} {at}");
         outcome.unwrap_or(false)
     };
     let bytes = text.as_bytes();
@@ -88,19 +96,65 @@ fn assert_decoder_never_panics<T: Deserialize>(name: &str, text: &str) {
 
 #[test]
 fn cache_record_payload_survives_truncation_and_bit_flips() {
-    assert_decoder_never_panics::<RunResult>("record payload", &record_payload());
+    assert_decoder_never_panics::<RunResult>("record payload", &record_payload(), drop);
 }
 
 #[test]
 fn golden_files_survive_truncation_and_bit_flips() {
     for file in ["spidergon8_uniform.json", "ring8_hotspot.json"] {
-        assert_decoder_never_panics::<RunResult>(file, &golden(file));
+        assert_decoder_never_panics::<RunResult>(file, &golden(file), drop);
     }
 }
 
 #[test]
 fn cli_spec_survives_truncation_and_bit_flips() {
-    assert_decoder_never_panics::<Experiment>("noc-cli example", &cli_spec());
+    assert_decoder_never_panics::<Experiment>("noc-cli example", &cli_spec(), drop);
+}
+
+/// The 4x2 mesh (XY routing) the trace tests replay on.
+const TRACE_MESH: TopologySpec = TopologySpec::Mesh { cols: 4, rows: 2 };
+
+/// Replays `trace` on [`TRACE_MESH`]; a trace sized for another
+/// network is rejected by `with_trace`, anything else must run.
+fn replay(trace: &Trace) {
+    let config = SimConfig::builder()
+        .warmup_cycles(0)
+        .measure_cycles(200)
+        .build()
+        .unwrap();
+    let topology = TRACE_MESH.build().unwrap();
+    let routing = TRACE_MESH.build_routing().unwrap();
+    if let Ok(mut sim) = Simulation::with_trace(topology, routing, trace, config) {
+        sim.run().unwrap();
+    }
+}
+
+#[test]
+fn trace_survives_truncation_and_bit_flips() {
+    let stages: Vec<NodeId> = [0, 3, 5, 6].into_iter().map(NodeId::new).collect();
+    let trace = Trace::pipeline(8, &stages, 3, 10).unwrap();
+    replay(&trace);
+    let json = serde_json::to_string(&trace).unwrap();
+    assert_eq!(serde_json::from_str::<Trace>(&json).unwrap(), trace);
+    assert_decoder_never_panics::<Trace>("pipeline trace", &json, |t| replay(&t));
+}
+
+#[test]
+fn invalid_trace_entries_are_rejected() {
+    let err = decode_err::<Trace>(r#"{"num_nodes":8,"entries":[{"cycle":0,"src":99,"dst":1}]}"#);
+    assert!(err.contains("invalid Trace") && err.contains("99"), "{err}");
+    let err = decode_err::<Trace>(r#"{"num_nodes":8,"entries":[{"cycle":5,"src":1,"dst":1}]}"#);
+    assert!(err.contains("invalid Trace"), "{err}");
+    let err = decode_err::<Trace>(r#"{"num_nodes":8}"#);
+    assert!(err.contains("missing field `entries` in Trace"), "{err}");
+    // Entries come back sorted by cycle, as `Trace::new` leaves them.
+    let trace: Trace = serde_json::from_str(
+        r#"{"num_nodes":8,"entries":[{"cycle":9,"src":0,"dst":1},{"cycle":2,"src":2,"dst":3}]}"#,
+    )
+    .unwrap();
+    let cycles: Vec<u64> = trace.entries().iter().map(|e| e.cycle).collect();
+    assert_eq!(cycles, vec![2, 9]);
+    replay(&trace);
 }
 
 fn decode_err<T: Deserialize + std::fmt::Debug>(text: &str) -> String {

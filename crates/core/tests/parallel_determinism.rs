@@ -8,7 +8,7 @@
 //! that replaced the per-packet hop table in the simulator hot path.
 
 use noc_core::figures::{fig6_7, FigureOptions};
-use noc_core::{sweep_rates_with, Experiment, Parallelism, TopologySpec, TrafficSpec};
+use noc_core::{sweep_rates, Experiment, Parallelism, TopologySpec, TrafficSpec};
 use noc_routing::SpidergonAcrossFirst;
 use noc_sim::{SimConfig, Simulation};
 use noc_topology::Spidergon;
@@ -34,7 +34,7 @@ fn sweep_is_bit_identical_across_worker_counts() {
     let topology = TopologySpec::Spidergon { nodes: 8 };
     let traffic = TrafficSpec::Uniform;
     let rates = [0.05, 0.15, 0.3];
-    let sequential = sweep_rates_with(
+    let sequential = sweep_rates(
         topology,
         traffic,
         &base_config(0.1),
@@ -44,7 +44,7 @@ fn sweep_is_bit_identical_across_worker_counts() {
     )
     .unwrap();
     for workers in [2usize, 4, 7] {
-        let parallel = sweep_rates_with(
+        let parallel = sweep_rates(
             topology,
             traffic,
             &base_config(0.1),
@@ -69,11 +69,11 @@ fn replicated_runs_are_bit_identical_across_worker_counts() {
         config: base_config(0.2),
     };
     let sequential = experiment
-        .run_replicated_with(3, Parallelism::Sequential)
+        .run_replicated(3, Parallelism::Sequential)
         .unwrap();
     for workers in [3usize, 8] {
         let parallel = experiment
-            .run_replicated_with(3, Parallelism::Fixed(workers))
+            .run_replicated(3, Parallelism::Fixed(workers))
             .unwrap();
         assert_eq!(json(&parallel), json(&sequential));
     }

@@ -3,8 +3,8 @@
 //! engine parallelism, and consistent with the untraced simulation.
 
 use noc_core::figures::ext_link_heatmap;
-use noc_core::{Experiment, FigureOptions, Parallelism, TopologySpec, TrafficSpec};
-use noc_sim::SimConfig;
+use noc_core::{Experiment, FigureOptions, Parallelism, RunResult, TopologySpec, TrafficSpec};
+use noc_sim::{Recorder, SimConfig};
 
 /// The ISSUE's reference trace workload: spidergon-16, single hot-spot
 /// at node 0.
@@ -22,11 +22,17 @@ fn hotspot_experiment() -> Experiment {
     }
 }
 
+/// Runs `exp` with a default recorder attached.
+fn traced(exp: &Experiment) -> (RunResult, Recorder) {
+    let (result, sim) = exp.run_with(Recorder::new()).unwrap();
+    (result, sim.into_probe())
+}
+
 #[test]
 fn traced_run_digest_is_reproducible() {
     let exp = hotspot_experiment();
-    let (res_a, rec_a) = exp.run_traced_with_seed(exp.config.seed).unwrap();
-    let (res_b, rec_b) = exp.run_traced_with_seed(exp.config.seed).unwrap();
+    let (res_a, rec_a) = traced(&exp);
+    let (res_b, rec_b) = traced(&exp);
     assert_eq!(res_a, res_b);
     assert_eq!(rec_a.digest(), rec_b.digest());
     assert_eq!(rec_a.to_jsonl(), rec_b.to_jsonl());
@@ -43,11 +49,8 @@ fn traced_digests_identical_across_engine_parallelism() {
         let jobs: Vec<_> = (0..4)
             .map(|i| {
                 move || {
-                    let exp = hotspot_experiment();
-                    let (_, rec) = exp
-                        .run_traced_with_seed(exp.config.seed.wrapping_add(i % 2))
-                        .unwrap();
-                    rec.digest()
+                    let exp = hotspot_experiment().replicas(2).nth(i % 2).unwrap();
+                    traced(&exp).1.digest()
                 }
             })
             .collect();
@@ -64,8 +67,8 @@ fn traced_digests_identical_across_engine_parallelism() {
 #[test]
 fn traced_run_matches_untraced_counters() {
     let exp = hotspot_experiment();
-    let plain = exp.run_with_seed(exp.config.seed).unwrap();
-    let (traced, rec) = exp.run_traced_with_seed(exp.config.seed).unwrap();
+    let plain = exp.run().unwrap();
+    let (traced, rec) = traced(&exp);
     assert_eq!(plain, traced, "tracing must not perturb the simulation");
     // The recorder watches the whole run, warmup included.
     assert_eq!(

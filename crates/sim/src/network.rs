@@ -319,12 +319,6 @@ impl Simulation {
         pattern: Box<dyn TrafficPattern>,
         config: SimConfig,
     ) -> Result<Self, SimError> {
-        if pattern.num_nodes() != topology.num_nodes() {
-            return Err(SimError::NodeCountMismatch {
-                topology: topology.num_nodes(),
-                pattern: pattern.num_nodes(),
-            });
-        }
         Simulation::with_probe(topology, routing, pattern, config, NullProbe)
     }
 

@@ -45,10 +45,33 @@ pub struct TraceEntry {
 /// # Ok::<(), noc_traffic::TrafficError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Trace {
     num_nodes: usize,
     entries: Vec<TraceEntry>,
+}
+
+// Hand-written so a decoded trace goes through [`Trace::new`]: an
+// endpoint outside the network or a self-addressed packet is a decode
+// error, and the entries come back sorted by cycle.
+#[cfg(feature = "serde")]
+impl serde::Deserialize for Trace {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
+        use serde::__private::{field, required};
+        const TY: &str = "Trace";
+        let (mut num_nodes, mut entries) = (None, None);
+        r.begin_object(TY)?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "num_nodes" => field(r, &mut num_nodes, TY, "num_nodes")?,
+                "entries" => field(r, &mut entries, TY, "entries")?,
+                _ => r.skip_value()?,
+            }
+        }
+        let num_nodes = required(r, num_nodes, TY, "num_nodes")?;
+        let entries = required(r, entries, TY, "entries")?;
+        Trace::new(num_nodes, entries).map_err(|e| r.error(format_args!("invalid {TY}: {e}")))
+    }
 }
 
 impl Trace {

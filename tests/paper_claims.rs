@@ -4,7 +4,7 @@
 
 use spidergon_noc::figures::{self, FigureOptions};
 use spidergon_noc::sim::SimConfig;
-use spidergon_noc::{sweep_rates, Experiment, TopologySpec, TrafficSpec};
+use spidergon_noc::{sweep_rates, Experiment, Parallelism, TopologySpec, TrafficSpec};
 use std::path::PathBuf;
 
 fn opts() -> FigureOptions {
@@ -156,7 +156,15 @@ fn uniform_saturation_ordering() {
         .unwrap();
     let rates: Vec<f64> = (1..=10).map(|i| i as f64 * 0.06).collect();
     let sat_rate = |spec| {
-        let sweep = sweep_rates(spec, TrafficSpec::Uniform, &base, &rates, 1).unwrap();
+        let sweep = sweep_rates(
+            spec,
+            TrafficSpec::Uniform,
+            &base,
+            &rates,
+            1,
+            Parallelism::default(),
+        )
+        .unwrap();
         spidergon_noc::saturation_point(&sweep, 0.95)
             .map(|s| s.rate)
             .unwrap_or(f64::INFINITY)
@@ -182,9 +190,10 @@ fn full_stack_determinism() {
             .unwrap(),
     };
     assert_eq!(exp.run().unwrap(), exp.run().unwrap());
+    let mut seeds = exp.replicas(2);
     assert_ne!(
-        exp.run_with_seed(5).unwrap().stats,
-        exp.run_with_seed(6).unwrap().stats
+        seeds.next().unwrap().run().unwrap().stats,
+        seeds.next().unwrap().run().unwrap().stats
     );
 }
 
