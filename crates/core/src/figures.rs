@@ -18,7 +18,7 @@ use crate::report::{FigureData, Point, Series};
 use crate::sweep::{sweep_from_runs, sweep_jobs, validate_rates};
 use crate::{Aggregate, CoreError, Experiment, RunResult, SweepResult, TopologySpec, TrafficSpec};
 use noc_sim::{SimConfig, Simulation};
-use noc_topology::{analytical, metrics, real_mesh, IrregularMesh, RectMesh, Ring, Spidergon};
+use noc_topology::{analytical, real_mesh, IrregularMesh, RectMesh, Spidergon};
 use noc_traffic::{PlacementScenario, TrafficPattern, UniformRandom};
 use serde::{Deserialize, Serialize};
 
@@ -95,7 +95,8 @@ impl Default for FigureOptions {
 
 /// Figure 2: network diameter `ND` vs number of nodes, for Ring, the
 /// continuous ideal-mesh curve, the two real-mesh families and
-/// Spidergon. Pure graph analysis (no simulation).
+/// Spidergon. Exact closed forms of [`analytical`] (no simulation, no
+/// graph search; the topology tests check every form against BFS).
 ///
 /// # Panics
 ///
@@ -120,14 +121,14 @@ pub fn fig2(max_nodes: usize) -> FigureData {
         "real-mesh-rect",
         (4..=max_nodes).map(|n| {
             let mesh = RectMesh::balanced(n).expect("n >= 4");
-            (n as f64, metrics::diameter(&mesh) as f64)
+            (n as f64, analytical::grid_diameter(mesh.cols(), n) as f64)
         }),
     ));
     fig.push_series(Series::from_xy(
         "real-mesh-irregular",
         (4..=max_nodes).map(|n| {
             let mesh = IrregularMesh::realistic(n).expect("n >= 4");
-            (n as f64, metrics::diameter(&mesh) as f64)
+            (n as f64, analytical::grid_diameter(mesh.cols(), n) as f64)
         }),
     ));
     fig.push_series(Series::from_xy(
@@ -141,7 +142,7 @@ pub fn fig2(max_nodes: usize) -> FigureData {
 }
 
 /// Figure 3: average network distance `E[D]` vs number of nodes (paper
-/// normalization, `sum / N`). Pure graph analysis.
+/// normalization, `sum / N`). Exact closed forms, like [`fig2`].
 ///
 /// # Panics
 ///
@@ -171,14 +172,16 @@ pub fn fig3(max_nodes: usize) -> FigureData {
         "real-mesh-rect",
         (4..=max_nodes).map(|n| {
             let mesh = RectMesh::balanced(n).expect("n >= 4");
-            (n as f64, metrics::average_distance_paper(&mesh))
+            let total = analytical::grid_total_distance(mesh.cols(), n);
+            (n as f64, analytical::paper_mean(total, n))
         }),
     ));
     fig.push_series(Series::from_xy(
         "real-mesh-irregular",
         (4..=max_nodes).map(|n| {
             let mesh = IrregularMesh::realistic(n).expect("n >= 4");
-            (n as f64, metrics::average_distance_paper(&mesh))
+            let total = analytical::grid_total_distance(mesh.cols(), n);
+            (n as f64, analytical::paper_mean(total, n))
         }),
     ));
     fig.push_series(Series::from_xy(
@@ -273,13 +276,12 @@ pub fn fig5(opts: &FigureOptions) -> Result<FigureData, CoreError> {
             (2, TopologySpec::MeshBalanced { nodes: n }),
         ];
         for (slot, spec) in specs {
-            let exact = match spec {
-                TopologySpec::Ring { nodes } => metrics::average_distance(&Ring::new(nodes)?),
-                TopologySpec::Spidergon { nodes } => {
-                    metrics::average_distance(&Spidergon::new(nodes)?)
-                }
-                _ => metrics::average_distance(&RectMesh::balanced(n)?),
+            let total = match spec {
+                TopologySpec::Ring { .. } => analytical::ring_total_distance(n),
+                TopologySpec::Spidergon { .. } => analytical::spidergon_total_distance(n),
+                _ => analytical::grid_total_distance(RectMesh::balanced(n)?.cols(), n),
             };
+            let exact = analytical::pair_mean(total, n);
             analytic[slot].1.push((n as f64, exact));
             let mut config = opts.base_config();
             config.injection_rate = lambda;
@@ -868,6 +870,8 @@ pub fn ext_link_heatmap(opts: &FigureOptions) -> Result<FigureData, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_topology::graph::DistanceMatrix;
+    use noc_topology::{Ring, Topology};
 
     #[test]
     fn fig2_has_all_families_and_known_values() {
@@ -895,6 +899,75 @@ mod tests {
             let r = ring.y_at(p.x).unwrap();
             assert!(p.y < r, "spidergon must beat ring at N={}", p.x);
         }
+    }
+
+    /// Asserts that every point of `fig`'s series `label` equals, bit for
+    /// bit, `bfs` applied to the BFS distance matrix of `topo(N)`.
+    fn assert_series_is_bfs(
+        fig: &FigureData,
+        label: &str,
+        topo: impl Fn(usize) -> Box<dyn Topology>,
+        bfs: impl Fn(&DistanceMatrix) -> f64,
+    ) {
+        let series = fig.series_by_label(label).unwrap();
+        assert!(!series.points.is_empty(), "{} {label}", fig.id);
+        for p in &series.points {
+            let apd = topo(p.x as usize).graph().all_pairs_distances();
+            assert_eq!(
+                p.y.to_bits(),
+                bfs(&apd).to_bits(),
+                "{} {label} N={}: closed form {} vs BFS {}",
+                fig.id,
+                p.x,
+                p.y,
+                bfs(&apd)
+            );
+        }
+    }
+
+    fn balanced(n: usize) -> Box<dyn Topology> {
+        Box::new(RectMesh::balanced(n).unwrap())
+    }
+
+    fn realistic(n: usize) -> Box<dyn Topology> {
+        Box::new(IrregularMesh::realistic(n).unwrap())
+    }
+
+    #[test]
+    fn closed_form_series_equal_bfs_bit_for_bit() {
+        let diameter = |apd: &DistanceMatrix| apd.diameter() as f64;
+        let fig = fig2(64);
+        assert_series_is_bfs(&fig, "real-mesh-rect", balanced, diameter);
+        assert_series_is_bfs(&fig, "real-mesh-irregular", realistic, diameter);
+        let fig = fig3(64);
+        assert_series_is_bfs(&fig, "real-mesh-rect", balanced, |apd| {
+            apd.mean_distance_paper()
+        });
+        assert_series_is_bfs(&fig, "real-mesh-irregular", realistic, |apd| {
+            apd.mean_distance_paper()
+        });
+        // The analytical series do not depend on the simulation length.
+        let opts = FigureOptions {
+            warmup_cycles: 0,
+            measure_cycles: 1,
+            rate_steps: 1,
+            ..FigureOptions::quick()
+        };
+        let fig = fig5(&opts).unwrap();
+        let mean = DistanceMatrix::mean_distance;
+        assert_series_is_bfs(
+            &fig,
+            "ring-analytical",
+            |n| Box::new(Ring::new(n).unwrap()),
+            mean,
+        );
+        assert_series_is_bfs(
+            &fig,
+            "spidergon-analytical",
+            |n| Box::new(Spidergon::new(n).unwrap()),
+            mean,
+        );
+        assert_series_is_bfs(&fig, "mesh-analytical", balanced, mean);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use noc_routing::{
     WestFirst,
 };
 use noc_topology::{
-    IrregularMesh, NodeId, RectMesh, Ring, Spidergon, Topology, TopologyKind, Torus,
+    IrregularMesh, NodeId, RectMesh, Ring, Spidergon, Topology, TopologyError, TopologyKind, Torus,
 };
 use noc_traffic::{
     placement, Complement, DoubleHotspot, MixedHotspot, NearestNeighbor, PlacementScenario,
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// use noc_core::TopologySpec;
 ///
 /// let spec = TopologySpec::Spidergon { nodes: 16 };
-/// assert_eq!(spec.nodes(), 16);
+/// assert_eq!(spec.nodes()?, 16);
 /// let topo = spec.build()?;
 /// assert_eq!(topo.num_nodes(), 16);
 /// # Ok::<(), noc_core::CoreError>(())
@@ -79,15 +79,23 @@ pub enum TopologySpec {
 
 impl TopologySpec {
     /// Number of nodes the built topology will have.
-    pub fn nodes(&self) -> usize {
-        match *self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Topology`] with
+    /// [`TopologyError::NodeCountOverflow`] if a `cols x rows` grid has
+    /// more nodes than `usize` can count.
+    pub fn nodes(&self) -> Result<usize, CoreError> {
+        Ok(match *self {
             TopologySpec::Ring { nodes }
             | TopologySpec::Spidergon { nodes }
             | TopologySpec::MeshBalanced { nodes }
             | TopologySpec::IrregularMesh { nodes, .. }
             | TopologySpec::RealisticMesh { nodes } => nodes,
-            TopologySpec::Mesh { cols, rows } | TopologySpec::Torus { cols, rows } => cols * rows,
-        }
+            TopologySpec::Mesh { cols, rows } | TopologySpec::Torus { cols, rows } => cols
+                .checked_mul(rows)
+                .ok_or(TopologyError::NodeCountOverflow { cols, rows })?,
+        })
     }
 
     /// Builds the topology.
@@ -242,7 +250,7 @@ impl TrafficSpec {
     /// [`CoreError::InvalidSpec`] for family mismatches (transpose on a
     /// non-square mesh, placed hot-spots on unsupported shapes).
     pub fn build(&self, topology: &TopologySpec) -> Result<Box<dyn TrafficPattern>, CoreError> {
-        let n = topology.nodes();
+        let n = topology.nodes()?;
         Ok(match *self {
             TrafficSpec::Uniform => Box::new(UniformRandom::new(n)?),
             TrafficSpec::SingleHotspot { target } => {
@@ -332,7 +340,7 @@ mod tests {
             TopologySpec::RealisticMesh { nodes: 8 },
         ];
         for spec in specs {
-            assert_eq!(spec.nodes(), 8, "{spec:?}");
+            assert_eq!(spec.nodes(), Ok(8), "{spec:?}");
             assert_eq!(spec.build().unwrap().num_nodes(), 8, "{spec:?}");
             let _ = spec.build_routing().unwrap();
             assert!(!spec.label().unwrap().is_empty());

@@ -7,8 +7,9 @@
 //!   value, never a panic; a decoded trace also replays without one;
 //! * **one error per malformed shape** — missing field (named),
 //!   unknown variant, wrong type, duplicate key, trailing characters,
-//!   out-of-range histogram bin, missing `bins` and a trace entry
-//!   outside the network or addressed to its own source;
+//!   out-of-range histogram bin, missing `bins`, a trace entry
+//!   outside the network or addressed to its own source, and a mesh or
+//!   torus spec whose node count overflows `usize`;
 //! * **lenient where it always was** — unknown fields are skipped,
 //!   floats accept integers and `null` (NaN), and fields marked
 //!   `#[serde(default)]` may be absent;
@@ -16,9 +17,9 @@
 //!   `SimConfig`, `TopologySpec` and `TrafficSpec` values.
 
 use noc_core::noc_sim::{SimConfig, Simulation};
-use noc_core::noc_topology::NodeId;
+use noc_core::noc_topology::{NodeId, TopologyError};
 use noc_core::noc_traffic::{InjectionProcess, PlacementScenario, Trace};
-use noc_core::{Experiment, RunResult, SweepPoint, TopologySpec, TrafficSpec};
+use noc_core::{CoreError, Experiment, RunResult, SweepPoint, TopologySpec, TrafficSpec};
 use proptest::prelude::*;
 use serde::Deserialize;
 use std::path::PathBuf;
@@ -142,9 +143,15 @@ fn trace_survives_truncation_and_bit_flips() {
 #[test]
 fn invalid_trace_entries_are_rejected() {
     let err = decode_err::<Trace>(r#"{"num_nodes":8,"entries":[{"cycle":0,"src":99,"dst":1}]}"#);
-    assert!(err.contains("invalid Trace") && err.contains("99"), "{err}");
+    assert!(
+        err.contains("invalid Trace: trace entry 0: endpoint n99 out of range for 8 nodes"),
+        "{err}"
+    );
     let err = decode_err::<Trace>(r#"{"num_nodes":8,"entries":[{"cycle":5,"src":1,"dst":1}]}"#);
-    assert!(err.contains("invalid Trace"), "{err}");
+    assert!(
+        err.contains("invalid Trace: trace entry 0: source and destination are both n1"),
+        "{err}"
+    );
     let err = decode_err::<Trace>(r#"{"num_nodes":8}"#);
     assert!(err.contains("missing field `entries` in Trace"), "{err}");
     // Entries come back sorted by cycle, as `Trace::new` leaves them.
@@ -155,6 +162,42 @@ fn invalid_trace_entries_are_rejected() {
     let cycles: Vec<u64> = trace.entries().iter().map(|e| e.cycle).collect();
     assert_eq!(cycles, vec![2, 9]);
     replay(&trace);
+}
+
+#[test]
+fn overflowing_grid_spec_is_an_error() {
+    // 2^33 x 2^33 nodes do not fit in a `usize`: building must fail
+    // cleanly instead of overflowing (a panic in debug builds, a
+    // wrapped node count in release builds).
+    let big = 1usize << 33;
+    let expected = CoreError::Topology(TopologyError::NodeCountOverflow {
+        cols: big,
+        rows: big,
+    });
+    for family in ["Mesh", "Torus"] {
+        let text = SPEC.replace(
+            r#"{"Ring": {"nodes": 8}}"#,
+            &format!(r#"{{"{family}": {{"cols": {big}, "rows": {big}}}}}"#),
+        );
+        let exp: Experiment = serde_json::from_str(&text).unwrap();
+        assert_eq!(exp.topology.nodes(), Err(expected.clone()), "{family}");
+        assert_eq!(
+            exp.topology.build().err(),
+            Some(expected.clone()),
+            "{family}"
+        );
+        assert_eq!(
+            exp.topology.build_routing().err(),
+            Some(expected.clone()),
+            "{family}"
+        );
+        assert_eq!(
+            exp.traffic.build(&exp.topology).err(),
+            Some(expected.clone()),
+            "{family}"
+        );
+        assert_eq!(exp.run().err(), Some(expected.clone()), "{family}");
+    }
 }
 
 fn decode_err<T: Deserialize + std::fmt::Debug>(text: &str) -> String {

@@ -20,6 +20,15 @@
 //! sum divided by `N` — which matches
 //! [`crate::graph::DistanceMatrix::mean_distance_paper`] for
 //! vertex-symmetric topologies.
+//!
+//! The `*_total_distance` functions give the exact ordered-pair distance
+//! sum in integers, and [`grid_diameter`] / [`grid_total_distance`]
+//! cover both mesh families (a full [`crate::RectMesh`] and an
+//! [`crate::IrregularMesh`] are the same row-major grid). Normalized by
+//! [`pair_mean`] or [`paper_mean`], a total gives bit for bit the float
+//! that [`crate::graph::DistanceMatrix`] computes from all-pairs BFS, at
+//! O(`cols + rows`) cost instead of O(`N^2`); the property tests check
+//! every form against BFS.
 
 /// Ring network diameter: `floor(N/2)`.
 ///
@@ -31,6 +40,42 @@
 /// ```
 pub fn ring_diameter(n: usize) -> usize {
     n / 2
+}
+
+/// Average distance over ordered pairs with `src != dst`:
+/// `total / (N (N - 1))`, 0 below two nodes. The normalization of
+/// [`crate::graph::DistanceMatrix::mean_distance`].
+pub fn pair_mean(total: u64, n: usize) -> f64 {
+    if n < 2 {
+        return 0.0;
+    }
+    total as f64 / (n * (n - 1)) as f64
+}
+
+/// Average distance with the paper's normalization: `total / N^2`, 0 for
+/// an empty graph. The normalization of
+/// [`crate::graph::DistanceMatrix::mean_distance_paper`].
+pub fn paper_mean(total: u64, n: usize) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    total as f64 / (n * n) as f64
+}
+
+/// Ring distance sum over ordered pairs: `N floor(N^2/4)` (every node's
+/// distance sum is `floor(N^2/4)`).
+///
+/// # Examples
+///
+/// ```
+/// use noc_topology::analytical::ring_total_distance;
+///
+/// assert_eq!(ring_total_distance(4), 4 * (1 + 2 + 1));
+/// assert_eq!(ring_total_distance(5), 5 * (1 + 2 + 2 + 1));
+/// ```
+pub fn ring_total_distance(n: usize) -> u64 {
+    let n = n as u64;
+    n * (n * n / 4)
 }
 
 /// Ring average distance, paper convention: exactly `N/4` for even `N`,
@@ -65,30 +110,6 @@ pub fn mesh_diameter(m: usize, n: usize) -> usize {
 /// The paper's mesh average-distance approximation `(m + n)/3`.
 pub fn mesh_average_distance_approx(m: usize, n: usize) -> f64 {
     (m + n) as f64 / 3.0
-}
-
-/// Exact mesh average distance over ordered pairs (`src != dst`).
-///
-/// The mean absolute coordinate difference along a dimension of extent
-/// `k` (uniform endpoints) is `(k^2 - 1) / (3k)`; the Manhattan mean is
-/// the sum over the two dimensions, rescaled from "all ordered pairs" to
-/// "ordered pairs with distinct endpoints".
-pub fn mesh_average_distance_exact(m: usize, n: usize) -> f64 {
-    let total = (m * n) as f64;
-    if total < 2.0 {
-        return 0.0;
-    }
-    let ex = ((m * m - 1) as f64) / (3.0 * m as f64);
-    let ey = ((n * n - 1) as f64) / (3.0 * n as f64);
-    (ex + ey) * total / (total - 1.0)
-}
-
-/// Exact mesh average distance with the paper's `sum / N^2`
-/// normalization (includes the zero `src == dst` terms).
-pub fn mesh_average_distance_paper(m: usize, n: usize) -> f64 {
-    let ex = ((m * m - 1) as f64) / (3.0 * m as f64);
-    let ey = ((n * n - 1) as f64) / (3.0 * n as f64);
-    ex + ey
 }
 
 /// Number of unidirectional links of an `m x n` mesh:
@@ -131,6 +152,16 @@ pub fn spidergon_distance_sum(n: usize) -> usize {
     }
 }
 
+/// Spidergon distance sum over ordered pairs:
+/// `N spidergon_distance_sum(N)` (the topology is vertex-symmetric).
+///
+/// # Panics
+///
+/// Panics if `n` is odd or `n < 4`.
+pub fn spidergon_total_distance(n: usize) -> u64 {
+    n as u64 * spidergon_distance_sum(n) as u64
+}
+
 /// Spidergon average distance, paper convention (`sum / N`).
 ///
 /// # Panics
@@ -143,6 +174,78 @@ pub fn spidergon_average_distance(n: usize) -> f64 {
 /// Number of unidirectional links of a Spidergon: `3N`.
 pub fn spidergon_link_count(n: usize) -> usize {
     3 * n
+}
+
+/// Diameter of a row-major grid of `num_nodes` nodes, `cols` wide, with
+/// `rows = ceil(num_nodes / cols)` rows whose last one is filled as a
+/// prefix: `(cols - 1) + (rows - 1)`, the distance between the last
+/// node of the first row and the first node of the last row.
+///
+/// A full `m x n` [`crate::RectMesh`] is the grid `(m, m n)`; an
+/// [`crate::IrregularMesh`] is the grid `(cols, num_nodes)`.
+///
+/// # Panics
+///
+/// Panics if `cols == 0` or `num_nodes < cols`.
+///
+/// # Examples
+///
+/// ```
+/// use noc_topology::analytical::grid_diameter;
+///
+/// assert_eq!(grid_diameter(4, 24), 3 + 5); // 4x6 mesh
+/// assert_eq!(grid_diameter(3, 7), 2 + 2); // rows [0,1,2], [3,4,5], [6]
+/// ```
+pub fn grid_diameter(cols: usize, num_nodes: usize) -> usize {
+    check_grid(cols, num_nodes);
+    (cols - 1) + (num_nodes.div_ceil(cols) - 1)
+}
+
+/// Distance sum over ordered pairs of the grid of [`grid_diameter`].
+///
+/// Shortest paths are Manhattan (the last row is a prefix, so every XY
+/// route exists), so the sum splits by dimension: the cut between
+/// column `x` and `x + 1` separates the `a_x` nodes in columns `<= x`
+/// from the other `N - a_x`, and each such ordered pair crosses it
+/// once, giving `2 sum_x a_x (N - a_x) + 2 sum_y b_y (N - b_y)` with
+/// `b_y` the nodes in rows `<= y`. O(`cols + rows`), exact in `u64`.
+///
+/// # Panics
+///
+/// Panics if `cols == 0` or `num_nodes < cols`.
+///
+/// # Examples
+///
+/// ```
+/// use noc_topology::analytical::grid_total_distance;
+///
+/// // A 1x3 line: pairs at distance 1, 1 and 2, both directions.
+/// assert_eq!(grid_total_distance(1, 3), 8);
+/// ```
+pub fn grid_total_distance(cols: usize, num_nodes: usize) -> u64 {
+    check_grid(cols, num_nodes);
+    let n = num_nodes as u64;
+    let rows = num_nodes.div_ceil(cols);
+    // Columns before `last_row_len` hold `rows` nodes, the rest one fewer.
+    let last_row_len = num_nodes - (rows - 1) * cols;
+    let cut = |inside: u64| 2 * inside * (n - inside);
+    let mut total = 0;
+    let mut inside = 0;
+    for x in 0..cols - 1 {
+        inside += (rows - usize::from(x >= last_row_len)) as u64;
+        total += cut(inside);
+    }
+    for y in 1..rows {
+        total += cut((y * cols) as u64);
+    }
+    total
+}
+
+fn check_grid(cols: usize, num_nodes: usize) {
+    assert!(
+        cols > 0 && num_nodes >= cols,
+        "a grid needs 0 < cols <= num_nodes, got cols {cols} and {num_nodes} nodes"
+    );
 }
 
 /// Torus network diameter: `floor(m/2) + floor(n/2)`.
@@ -192,12 +295,15 @@ mod tests {
             let mesh = RectMesh::new(m, n).unwrap();
             let apd = mesh.graph().all_pairs_distances();
             assert_eq!(apd.diameter() as usize, mesh_diameter(m, n));
-            assert!(
-                (apd.mean_distance() - mesh_average_distance_exact(m, n)).abs() < 1e-9,
+            let total = grid_total_distance(m, m * n);
+            assert_eq!(
+                pair_mean(total, m * n).to_bits(),
+                apd.mean_distance().to_bits(),
                 "m={m} n={n}"
             );
-            assert!(
-                (apd.mean_distance_paper() - mesh_average_distance_paper(m, n)).abs() < 1e-9,
+            assert_eq!(
+                paper_mean(total, m * n).to_bits(),
+                apd.mean_distance_paper().to_bits(),
                 "m={m} n={n}"
             );
             assert_eq!(mesh.num_links(), mesh_link_count(m, n));
@@ -208,7 +314,7 @@ mod tests {
     fn mesh_approximation_is_close_for_square_meshes() {
         for k in 2..10usize {
             let approx = mesh_average_distance_approx(k, k);
-            let exact = mesh_average_distance_paper(k, k);
+            let exact = paper_mean(grid_total_distance(k, k * k), k * k);
             assert!(
                 (approx - exact).abs() / exact < 0.35,
                 "k={k}: approx {approx} vs exact {exact}"

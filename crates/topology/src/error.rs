@@ -46,6 +46,13 @@ pub enum TopologyError {
         /// Number of nodes requested.
         num_nodes: usize,
     },
+    /// A `cols x rows` grid has more nodes than `usize` can count.
+    NodeCountOverflow {
+        /// Number of columns requested.
+        cols: usize,
+        /// Number of rows requested.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -67,6 +74,9 @@ impl fmt::Display for TopologyError {
                 f,
                 "irregular mesh with {cols} columns cannot hold {num_nodes} nodes"
             ),
+            TopologyError::NodeCountOverflow { cols, rows } => {
+                write!(f, "a {cols}x{rows} grid has too many nodes to count")
+            }
         }
     }
 }
@@ -79,7 +89,7 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let cases: [(TopologyError, &str); 5] = [
+        let cases: [(TopologyError, &str); 6] = [
             (
                 TopologyError::TooFewNodes {
                     requested: 1,
@@ -102,6 +112,13 @@ mod tests {
                     num_nodes: 100,
                 },
                 "irregular",
+            ),
+            (
+                TopologyError::NodeCountOverflow {
+                    cols: usize::MAX,
+                    rows: 2,
+                },
+                "too many nodes",
             ),
         ];
         for (err, needle) in cases {

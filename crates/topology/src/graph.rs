@@ -263,10 +263,7 @@ impl DistanceMatrix {
     ///
     /// Returns 0 for graphs with fewer than two nodes.
     pub fn mean_distance(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        self.total_distance() as f64 / (self.n * (self.n - 1)) as f64
+        crate::analytical::pair_mean(self.total_distance(), self.n)
     }
 
     /// The paper's normalization of average distance: per-source distance
@@ -276,10 +273,7 @@ impl DistanceMatrix {
     /// `sum_dist_from_any_node / N`, the convention used in the paper's
     /// `E[D]` formulas.
     pub fn mean_distance_paper(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        self.total_distance() as f64 / (self.n * self.n) as f64
+        crate::analytical::paper_mean(self.total_distance(), self.n)
     }
 }
 

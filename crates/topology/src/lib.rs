@@ -12,9 +12,11 @@
 //!   paper's "real / irregular mesh" novelty);
 //! * [`Torus`] — mesh plus wrap-around links (a future-work topology);
 //! * [`graph`] — CSR adjacency + BFS, exact all-pairs distances;
-//! * [`metrics`] — exact diameter / average distance / link counts;
+//! * [`metrics`] — exact diameter / average distance / link counts of
+//!   any topology, by BFS;
 //! * [`analytical`] — the paper's closed forms (with a documented
-//!   erratum correction for Spidergon `E[D]`);
+//!   erratum correction for Spidergon `E[D]`) and exact integer
+//!   distance sums for every family, which the figures use;
 //! * [`real_mesh`] — ideal-vs-real mesh construction strategies.
 //!
 //! # Quick start

@@ -40,15 +40,19 @@ impl RectMesh {
     /// # Errors
     ///
     /// Returns [`TopologyError::ZeroDimension`] if either dimension is
-    /// zero, and [`TopologyError::TooFewNodes`] for the degenerate 1x1
-    /// mesh.
+    /// zero, [`TopologyError::NodeCountOverflow`] if `cols * rows`
+    /// overflows `usize`, and [`TopologyError::TooFewNodes`] for the
+    /// degenerate 1x1 mesh.
     pub fn new(cols: usize, rows: usize) -> Result<Self, TopologyError> {
         if cols == 0 || rows == 0 {
             return Err(TopologyError::ZeroDimension);
         }
-        if cols * rows < 2 {
+        let nodes = cols
+            .checked_mul(rows)
+            .ok_or(TopologyError::NodeCountOverflow { cols, rows })?;
+        if nodes < 2 {
             return Err(TopologyError::TooFewNodes {
-                requested: cols * rows,
+                requested: nodes,
                 minimum: 2,
             });
         }
@@ -199,6 +203,13 @@ mod tests {
         assert!(RectMesh::new(1, 1).is_err());
         assert!(RectMesh::new(1, 2).is_ok());
         assert!(RectMesh::new(4, 6).is_ok());
+        assert_eq!(
+            RectMesh::new(usize::MAX, 2),
+            Err(TopologyError::NodeCountOverflow {
+                cols: usize::MAX,
+                rows: 2,
+            })
+        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! distance, link counts.
 //!
 //! These are the quantities plotted in the paper's Figures 2 and 3. The
-//! closed-form counterparts live in [`crate::analytical`]; everything
-//! here is computed from the actual graph so it also works for irregular
-//! topologies with no closed form.
+//! figures take them from the exact closed forms in
+//! [`crate::analytical`], which the tests check against this module;
+//! everything here is computed from the actual graph, so it also works
+//! for topologies with no closed form.
 
 use crate::graph::DistanceMatrix;
 use crate::Topology;

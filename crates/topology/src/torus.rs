@@ -49,16 +49,20 @@ impl Torus {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::ZeroDimension`] if a dimension is zero
-    /// and [`TopologyError::TooFewNodes`] if either dimension is below
-    /// three.
+    /// Returns [`TopologyError::ZeroDimension`] if a dimension is zero,
+    /// [`TopologyError::NodeCountOverflow`] if `cols * rows` overflows
+    /// `usize`, and [`TopologyError::TooFewNodes`] if either dimension
+    /// is below three.
     pub fn new(cols: usize, rows: usize) -> Result<Self, TopologyError> {
         if cols == 0 || rows == 0 {
             return Err(TopologyError::ZeroDimension);
         }
+        let nodes = cols
+            .checked_mul(rows)
+            .ok_or(TopologyError::NodeCountOverflow { cols, rows })?;
         if cols < Self::MIN_DIM || rows < Self::MIN_DIM {
             return Err(TopologyError::TooFewNodes {
-                requested: cols * rows,
+                requested: nodes,
                 minimum: Self::MIN_DIM * Self::MIN_DIM,
             });
         }
@@ -160,6 +164,13 @@ mod tests {
         assert!(Torus::new(2, 4).is_err());
         assert!(Torus::new(4, 2).is_err());
         assert!(Torus::new(0, 4).is_err());
+        assert_eq!(
+            Torus::new(2, usize::MAX),
+            Err(TopologyError::NodeCountOverflow {
+                cols: 2,
+                rows: usize::MAX,
+            })
+        );
         assert!(Torus::new(3, 3).is_ok());
         assert!(Torus::new(8, 8).is_ok());
     }

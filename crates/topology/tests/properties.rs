@@ -42,16 +42,6 @@ proptest! {
     }
 
     #[test]
-    fn ring_closed_forms_match_bfs(n in 3usize..60) {
-        let ring = Ring::new(n).unwrap();
-        let apd = ring.graph().all_pairs_distances();
-        prop_assert_eq!(apd.diameter() as usize, analytical::ring_diameter(n));
-        prop_assert!(
-            (apd.mean_distance_paper() - analytical::ring_average_distance(n)).abs() < 1e-9
-        );
-    }
-
-    #[test]
     fn spidergon_closed_forms_match_bfs(half in 2usize..32) {
         let n = half * 2;
         let sg = Spidergon::new(n).unwrap();
@@ -59,6 +49,7 @@ proptest! {
         prop_assert_eq!(apd.diameter() as usize, analytical::spidergon_diameter(n));
         let sum: u32 = apd.row(0).iter().sum();
         prop_assert_eq!(sum as usize, analytical::spidergon_distance_sum(n));
+        prop_assert_eq!(apd.total_distance(), analytical::spidergon_total_distance(n));
     }
 
     #[test]
@@ -142,5 +133,74 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Asserts that the grid closed forms give `topo`'s BFS diameter and
+/// ordered-pair distance sum.
+fn assert_grid_forms_match_bfs(topo: &impl Topology, cols: usize) {
+    let n = topo.num_nodes();
+    let apd = topo.graph().all_pairs_distances();
+    let label = topo.label();
+    assert_eq!(
+        apd.diameter() as usize,
+        analytical::grid_diameter(cols, n),
+        "{label}"
+    );
+    assert_eq!(
+        apd.total_distance(),
+        analytical::grid_total_distance(cols, n),
+        "{label}"
+    );
+}
+
+#[test]
+fn grid_closed_forms_match_bfs_for_every_irregular_mesh() {
+    for cols in 1..=16usize {
+        for n in cols.max(2)..=200 {
+            assert_grid_forms_match_bfs(&IrregularMesh::new(cols, n).unwrap(), cols);
+        }
+    }
+}
+
+#[test]
+fn grid_closed_forms_match_bfs_for_every_rect_mesh() {
+    for cols in 1..=16usize {
+        for rows in 1..=16usize {
+            if cols * rows >= 2 {
+                assert_grid_forms_match_bfs(&RectMesh::new(cols, rows).unwrap(), cols);
+            }
+        }
+    }
+}
+
+#[test]
+fn grid_closed_forms_match_bfs_for_the_figure_meshes() {
+    for n in 2..=256usize {
+        let rect = RectMesh::balanced(n).unwrap();
+        assert_grid_forms_match_bfs(&rect, rect.cols());
+        let irregular = IrregularMesh::realistic(n).unwrap();
+        assert_grid_forms_match_bfs(&irregular, irregular.cols());
+    }
+}
+
+#[test]
+fn ring_closed_forms_match_bfs() {
+    for n in 3..=128usize {
+        let apd = Ring::new(n).unwrap().graph().all_pairs_distances();
+        assert_eq!(
+            apd.diameter() as usize,
+            analytical::ring_diameter(n),
+            "n={n}"
+        );
+        assert_eq!(
+            apd.total_distance(),
+            analytical::ring_total_distance(n),
+            "n={n}"
+        );
+        assert!(
+            (apd.mean_distance_paper() - analytical::ring_average_distance(n)).abs() < 1e-9,
+            "n={n}"
+        );
     }
 }

@@ -31,6 +31,23 @@ pub enum TrafficError {
         /// The offending rate in flits/cycle.
         rate: f64,
     },
+    /// A trace entry names a source or destination outside the node
+    /// range.
+    TraceEndpointOutOfRange {
+        /// Index of the offending entry in the given entry list.
+        entry: usize,
+        /// The offending endpoint.
+        node: NodeId,
+        /// Number of nodes in the network.
+        num_nodes: usize,
+    },
+    /// A trace entry sends a packet to its own source.
+    TraceSelfAddressed {
+        /// Index of the offending entry in the given entry list.
+        entry: usize,
+        /// The node that is both source and destination.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for TrafficError {
@@ -57,6 +74,22 @@ impl fmt::Display for TrafficError {
                     "injection rate must be finite and non-negative, got {rate}"
                 )
             }
+            TrafficError::TraceEndpointOutOfRange {
+                entry,
+                node,
+                num_nodes,
+            } => {
+                write!(
+                    f,
+                    "trace entry {entry}: endpoint {node} out of range for {num_nodes} nodes"
+                )
+            }
+            TrafficError::TraceSelfAddressed { entry, node } => {
+                write!(
+                    f,
+                    "trace entry {entry}: source and destination are both {node}"
+                )
+            }
         }
     }
 }
@@ -76,6 +109,23 @@ mod tests {
         assert!(e.to_string().contains("n9"));
         let e = TrafficError::InvalidRate { rate: f64::NAN };
         assert!(e.to_string().contains("NaN"));
+        let e = TrafficError::TraceEndpointOutOfRange {
+            entry: 3,
+            node: NodeId::new(9),
+            num_nodes: 8,
+        };
+        assert_eq!(
+            e.to_string(),
+            "trace entry 3: endpoint n9 out of range for 8 nodes"
+        );
+        let e = TrafficError::TraceSelfAddressed {
+            entry: 0,
+            node: NodeId::new(2),
+        };
+        assert_eq!(
+            e.to_string(),
+            "trace entry 0: source and destination are both n2"
+        );
     }
 
     #[test]

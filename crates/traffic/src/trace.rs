@@ -80,21 +80,23 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns [`TrafficError::TargetOutOfRange`] if an endpoint is not
-    /// a node and [`TrafficError::DuplicateTargets`] if an entry sends
-    /// a packet to its own source.
+    /// Returns [`TrafficError::TraceEndpointOutOfRange`] if an endpoint
+    /// is not a node and [`TrafficError::TraceSelfAddressed`] if an
+    /// entry sends a packet to its own source; both name the entry's
+    /// index in `entries`.
     pub fn new(num_nodes: usize, mut entries: Vec<TraceEntry>) -> Result<Self, TrafficError> {
-        for e in &entries {
-            for endpoint in [e.src, e.dst] {
-                if endpoint.index() >= num_nodes {
-                    return Err(TrafficError::TargetOutOfRange {
-                        target: endpoint,
+        for (entry, e) in entries.iter().enumerate() {
+            for node in [e.src, e.dst] {
+                if node.index() >= num_nodes {
+                    return Err(TrafficError::TraceEndpointOutOfRange {
+                        entry,
+                        node,
                         num_nodes,
                     });
                 }
             }
             if e.src == e.dst {
-                return Err(TrafficError::DuplicateTargets { target: e.src });
+                return Err(TrafficError::TraceSelfAddressed { entry, node: e.src });
             }
         }
         entries.sort_by_key(|e| e.cycle);
@@ -188,9 +190,29 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_entries() {
-        assert!(Trace::new(4, vec![e(0, 0, 4)]).is_err());
-        assert!(Trace::new(4, vec![e(0, 5, 1)]).is_err());
-        assert!(Trace::new(4, vec![e(0, 2, 2)]).is_err());
+        assert_eq!(
+            Trace::new(4, vec![e(0, 0, 1), e(0, 0, 4)]),
+            Err(TrafficError::TraceEndpointOutOfRange {
+                entry: 1,
+                node: NodeId::new(4),
+                num_nodes: 4,
+            })
+        );
+        assert_eq!(
+            Trace::new(4, vec![e(0, 5, 1)]),
+            Err(TrafficError::TraceEndpointOutOfRange {
+                entry: 0,
+                node: NodeId::new(5),
+                num_nodes: 4,
+            })
+        );
+        assert_eq!(
+            Trace::new(4, vec![e(0, 2, 2)]),
+            Err(TrafficError::TraceSelfAddressed {
+                entry: 0,
+                node: NodeId::new(2),
+            })
+        );
         assert!(Trace::new(4, vec![e(0, 0, 1)]).is_ok());
     }
 
